@@ -19,10 +19,12 @@ def test_bench_table1(benchmark, full_dataset):
     for budget in budgets:
         for ev in result.evaluations[budget]:
             assert ev.score < result.ceiling(budget)
-    # The decision tree is competitive with every other classifier.
+    # The decision tree is competitive with every other classifier
+    # (worst gap -2.4 +/- 1.5 points over runner seeds; floor mean - 3
+    # sigma, EXPERIMENTS.md).
     for budget in (5, 6, 8):
         best = max(ev.score for ev in result.evaluations[budget])
-        assert result.score("DecisionTree", budget) >= best - 0.05
+        assert result.score("DecisionTree", budget) >= best - 0.07
     # The radial SVM collapses to a flat, low row.
     radial = [result.score("RadialSVM", b) for b in budgets]
     tree = [result.score("DecisionTree", b) for b in budgets]

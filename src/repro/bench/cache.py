@@ -28,7 +28,10 @@ from repro.workloads.gemm import GemmShape
 
 __all__ = ["CacheMismatchError", "load_dataset", "save_dataset"]
 
-_FORMAT_VERSION = 1
+#: Version 2: measurement noise comes from the counter-based generator
+#: of :mod:`repro.perfmodel.noise`; version-1 files carry the retired
+#: per-cell PCG64 draws and must not mix with new ones.
+_FORMAT_VERSION = 2
 
 
 class CacheMismatchError(ValueError):
@@ -127,8 +130,10 @@ def load_dataset(
     with np.load(Path(path), allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported dataset format {meta.get('format_version')!r}"
+            # A mismatch, not a hard error: callers regenerate the data.
+            raise CacheMismatchError(
+                f"unsupported dataset format {meta.get('format_version')!r} "
+                f"in {Path(path)} (expected {_FORMAT_VERSION})"
             )
         mismatches = _meta_mismatches(
             meta, expected_runner, expected_device_name, expected_model_params

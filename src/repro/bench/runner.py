@@ -95,17 +95,37 @@ def _bench_one_shape(
     model: GemmPerfModel,
     runner: RunnerConfig,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureRecord, ...]]:
-    """All configs for one shape; module-level for process-pool pickling."""
+    """All configs for one shape; module-level for process-pool pickling.
+
+    A model with ``measured_times_block`` measures the whole row in one
+    call; a row it returns as NaN is a cell deferred to the per-cell
+    path, which is also the only path for models without a block method.
+    The per-cell path retries a cell that raised a
+    :class:`~repro.sycl.exceptions.SyclError`.
+    """
     n = len(configs)
-    gflops = np.full(n, np.nan)
     seconds = np.full(n, np.nan)
     failures: list = []
-    for ci, config in enumerate(configs):
+    block = getattr(model, "measured_times_block", None)
+    if block is not None:
+        # Warm-up iterations are discarded: they model JIT/cache warming.
+        times = block(
+            shape,
+            configs,
+            iterations=runner.timed_iterations,
+            start_iteration=runner.warmup_iterations,
+        )
+        # Only the mean enters the dataset; the full summary is reserved
+        # for bench_single's detailed view.
+        seconds = times.mean(axis=1)
+        pending = np.flatnonzero(np.isnan(seconds)).tolist()
+    else:
+        pending = range(n)
+    for ci in pending:
+        config = configs[ci]
         times = None
         for attempt in range(runner.max_retries + 1):
             try:
-                # Warm-up iterations are discarded: they model JIT/cache
-                # warming.
                 times = model.measured_times_seconds(
                     shape,
                     config,
@@ -130,15 +150,11 @@ def _bench_one_shape(
                         ),
                     )
                 )
-        if times is None:
-            # Retries exhausted: skip-and-record, the cell stays NaN.
-            continue
-        # Only the mean enters the dataset; computing the full summary
-        # here costs ~40% of the sweep (profiled), so it is reserved for
-        # bench_single's detailed view.
-        mean = float(times.mean())
-        seconds[ci] = mean
-        gflops[ci] = shape.flops / mean / 1e9
+        if times is not None:
+            seconds[ci] = times.mean()
+        # Otherwise retries are exhausted: skip-and-record, the cell
+        # stays NaN.
+    gflops = shape.flops / seconds / 1e9
     return gflops, seconds, tuple(failures)
 
 
@@ -156,7 +172,9 @@ class BenchmarkRunner:
     ):
         """``model`` overrides the default dense GEMM model — anything
         with ``measured_times_seconds(shape, config, iterations=...,
-        start_iteration=...)`` works (e.g. the sparse model)."""
+        start_iteration=...)`` works (e.g. the sparse model); one that
+        also has ``measured_times_block(shape, configs, ...)`` is swept
+        a whole row per call."""
         self._device = device
         self._configs = tuple(configs) if configs is not None else tuple(config_space())
         self._runner_config = runner_config or RunnerConfig()

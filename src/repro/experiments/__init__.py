@@ -20,7 +20,12 @@ from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.placement import PlacementFlipResult, run_placement_flip
 from repro.experiments.sparse import SparseGeneralization, run_sparse_generalization
 from repro.experiments.dataset_size import DatasetSizeResult, run_dataset_size
-from repro.experiments.variance import VarianceResult, run_variance
+from repro.experiments.variance import (
+    Spread,
+    VarianceResult,
+    run_seed_spread,
+    run_variance,
+)
 from repro.experiments.tradeoff import TradeoffResult, run_tradeoff
 from repro.experiments.run_all import run_all
 
@@ -32,6 +37,7 @@ __all__ = [
     "Fig4Result",
     "PlacementFlipResult",
     "SparseGeneralization",
+    "Spread",
     "Table1Result",
     "TradeoffResult",
     "VarianceResult",
@@ -42,6 +48,7 @@ __all__ = [
     "run_dataset_size",
     "run_fig4",
     "run_placement_flip",
+    "run_seed_spread",
     "run_sparse_generalization",
     "run_table1",
     "run_tradeoff",

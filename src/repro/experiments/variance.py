@@ -6,15 +6,22 @@ repeats Figure 4 and the Table I headline cells across many splits and
 reports mean +/- standard deviation, separating conclusions that are
 robust (clustering beats naive at small budgets; classifiers sit below
 the ceiling) from those that are split luck (exact per-budget rankings).
+
+:func:`run_seed_spread` does the same for the *dataset*: it regenerates
+the sweep at several runner seeds (each seed keys the measurement
+noise), separating properties of the performance model from properties
+of one noise draw — the protocol behind every noise-sensitive test floor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench.runner import RunnerConfig
 from repro.core.dataset import PerformanceDataset, generate_dataset
 from repro.core.pruning import default_pruners, sweep_pruners
 from repro.core.pruning.decision_tree import DecisionTreePruner
@@ -22,7 +29,7 @@ from repro.core.selection.classifiers import make_selector
 from repro.core.selection.evaluate import evaluate_selector
 from repro.experiments.report import ascii_table
 
-__all__ = ["VarianceResult", "run_variance"]
+__all__ = ["Spread", "VarianceResult", "run_seed_spread", "run_variance"]
 
 
 @dataclass(frozen=True)
@@ -134,3 +141,58 @@ def run_variance(
         selection=selection,
         selection_budget=selection_budget,
     )
+
+
+@dataclass(frozen=True)
+class Spread:
+    """One quantity's spread over runner seeds."""
+
+    mean: float
+    std: float
+    low: float
+    high: float
+
+    def band(self, sigmas: float = 3.0) -> Tuple[float, float]:
+        """``mean -/+ sigmas * std``: a floor or ceiling on a single
+        draw belongs outside this band."""
+        return self.mean - sigmas * self.std, self.mean + sigmas * self.std
+
+    def __str__(self) -> str:
+        return (
+            f"{self.mean:.4g} +/- {self.std:.2g} "
+            f"[{self.low:.4g}, {self.high:.4g}]"
+        )
+
+
+def run_seed_spread(
+    measure: Callable[[PerformanceDataset, RunnerConfig], Mapping[str, float]],
+    *,
+    seeds: Sequence[int] = tuple(range(2020, 2032)),
+    runner_config: Optional[RunnerConfig] = None,
+    **generate_kwargs,
+) -> Dict[str, Spread]:
+    """Repeat ``measure`` on the dataset regenerated at each runner seed.
+
+    ``measure(dataset, runner_config)`` returns named quantities; it also
+    gets the runner protocol in force (``runner_config`` with the seed
+    replaced) so it can sweep further shapes or devices on the same
+    draw.  ``generate_kwargs`` go to :func:`generate_dataset`.
+    """
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    base = runner_config or RunnerConfig()
+    samples: Dict[str, list] = {}
+    for seed in seeds:
+        protocol = dataclasses.replace(base, seed=int(seed))
+        dataset = generate_dataset(runner_config=protocol, **generate_kwargs)
+        for name, value in measure(dataset, protocol).items():
+            samples.setdefault(name, []).append(float(value))
+    return {
+        name: Spread(
+            mean=float(np.mean(values)),
+            std=float(np.std(values)),
+            low=min(values),
+            high=max(values),
+        )
+        for name, values in samples.items()
+    }

@@ -268,6 +268,8 @@ def onboard_pipeline(config: OnboardPipelineConfig) -> Pipeline:
             )
             + source_inputs,
             codec="partial-sweep",
+            # 2: counter-based measurement noise (repro.perfmodel.noise).
+            version="2",
         )
     )
     pipeline.add(

@@ -16,6 +16,7 @@ per-lane cacheline transactions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.kernels.params import KernelConfig
 from repro.perfmodel.params import PerfModelParams
@@ -23,7 +24,7 @@ from repro.sycl.device import DeviceSpec
 from repro.utils.maths import ceil_div
 from repro.workloads.gemm import GemmShape
 
-__all__ = ["MemoryTraffic", "memory_traffic"]
+__all__ = ["MemoryTraffic", "coalescing_factors", "memory_traffic"]
 
 _FP32 = 4  # bytes
 
@@ -47,6 +48,25 @@ class MemoryTraffic:
         if self.l2_bytes == 0:
             return 1.0
         return 1.0 - self.dram_bytes / self.l2_bytes
+
+
+def coalescing_factors(
+    config: KernelConfig, device: DeviceSpec
+) -> Tuple[float, float]:
+    """Useful fraction of each cacheline transaction: (A loads, B/C)."""
+    # Lanes adjacent in a wavefront differ in the column coordinate first.
+    # For B loads / C stores, one row of work-items covers
+    # wg_cols * cols consecutive floats; the fraction of each cacheline
+    # transaction that is useful is that span over the cacheline.
+    row_span_bytes = config.wg_cols * config.cols * _FP32
+    eff_bc = min(1.0, row_span_bytes / device.cacheline_bytes)
+    # A loads move down rows: each lane reads `acc` consecutive floats of
+    # its own row, a strided pattern whose per-transaction utility is the
+    # per-lane vector width over the cacheline -- but consecutive k-steps
+    # consume the rest of the line from L1, so charge square-root decay
+    # rather than the full penalty.
+    eff_a = min(1.0, (config.acc * _FP32 / device.cacheline_bytes) ** 0.5)
+    return eff_a, eff_bc
 
 
 def memory_traffic(
@@ -83,19 +103,7 @@ def memory_traffic(
     dram_bytes = compulsory + (l2_bytes - compulsory) * (1.0 - resident_fraction)
 
     # -- coalescing -------------------------------------------------------
-    # Lanes adjacent in a wavefront differ in the column coordinate first.
-    # For B loads / C stores, one row of work-items covers
-    # wg_cols * cols consecutive floats; the fraction of each cacheline
-    # transaction that is useful is that span over the cacheline.
-    row_span_bytes = config.wg_cols * config.cols * _FP32
-    eff_bc = min(1.0, row_span_bytes / device.cacheline_bytes)
-    # A loads move down rows: each lane reads `acc` consecutive floats of
-    # its own row, a strided pattern whose per-transaction utility is the
-    # per-lane vector width over the cacheline -- but consecutive k-steps
-    # consume the rest of the line from L1, so charge square-root decay
-    # rather than the full penalty.
-    eff_a = min(1.0, (config.acc * _FP32 / device.cacheline_bytes) ** 0.5)
-
+    eff_a, eff_bc = coalescing_factors(config, device)
     a_share = a_slab / (a_slab + b_slab + c_tile)
     bc_share = 1.0 - a_share
     access_efficiency = a_share * eff_a + bc_share * eff_bc

@@ -9,7 +9,7 @@ both the deterministic expected time and noisy "measured" times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from repro.perfmodel.compute import (
     latency_hiding,
 )
 from repro.perfmodel.memory import MemoryTraffic, memory_traffic
-from repro.perfmodel.noise import measurement_noise_factor, noise_factors
+from repro.perfmodel.noise import measurement_noise_factor, noise_block, noise_factors
 from repro.perfmodel.occupancy import OccupancyResult, occupancy_for
 from repro.perfmodel.params import PerfModelParams
+from repro.perfmodel.table import ConfigTable
 from repro.perfmodel.transfer import (
     DataPlacement,
     resolve_placement,
@@ -30,10 +31,12 @@ from repro.perfmodel.transfer import (
 )
 from repro.sycl.device import Device, DeviceSpec
 from repro.utils.maths import ceil_div
-from repro.utils.rng import derive_seed
+from repro.utils.rng import derive_seed, derive_seeds
 from repro.workloads.gemm import GemmShape
 
 __all__ = ["GemmPerfModel", "ModelBreakdown"]
+
+_FP32 = 4  # bytes
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,10 @@ class GemmPerfModel:
         # memoise them: dataset generation evaluates 640 configs x many
         # shapes and this removes the dominant repeated work.
         self._static_cache: dict = {}
+        # Whole-row evaluation reads the sweep's configs as one table,
+        # built on first use: constructing it costs more than a model
+        # that is only ever asked about single cells needs to pay.
+        self._table: Optional[ConfigTable] = None
 
     @property
     def device_spec(self) -> DeviceSpec:
@@ -310,6 +317,148 @@ class GemmPerfModel:
         times = self.measured_times_seconds(shape, config, iterations=iterations)
         return shape.flops / float(np.mean(times)) / 1e9
 
+    # -- whole-row evaluation -------------------------------------------------
+
+    def times(
+        self, shape: GemmShape, configs: Sequence[KernelConfig]
+    ) -> np.ndarray:
+        """Deterministic expected time of every config on ``shape``.
+
+        One NumPy pass over the config axis; element ``i`` equals
+        ``time_seconds(shape, configs[i])`` bit for bit.
+        """
+        return self._row_times(shape, self._config_table(configs))
+
+    def measured_times_block(
+        self,
+        shape: GemmShape,
+        configs: Sequence[KernelConfig],
+        *,
+        iterations: int,
+        start_iteration: int = 0,
+    ) -> np.ndarray:
+        """Noisy measurements of every config on ``shape``.
+
+        Returns a ``(len(configs), iterations)`` array whose row ``i``
+        equals ``measured_times_seconds(shape, configs[i], ...)`` bit for
+        bit — one sweep row in one pass.
+        """
+        table = self._config_table(configs)
+        factors = noise_block(
+            self._seed,
+            shape,
+            table.index,
+            iterations,
+            sigma=self._params.noise_sigma,
+            start_iteration=start_iteration,
+        )
+        return self._row_times(shape, table)[:, None] * factors
+
+    def _config_table(self, configs: Sequence[KernelConfig]) -> ConfigTable:
+        table = self._table
+        # A sweep passes the same tuple for every shape: identity first.
+        if table is None or (
+            table.configs is not configs and table.configs != tuple(configs)
+        ):
+            table = self._table = ConfigTable.build(
+                tuple(configs), self._spec, self._static, self._seed
+            )
+        return table
+
+    def _row_times(self, shape: GemmShape, t: ConfigTable) -> np.ndarray:
+        """:meth:`breakdown`'s arithmetic over a config table.
+
+        Every step repeats the scalar expression with the same operand
+        order, so IEEE rounding — and hence every element — matches the
+        scalar model exactly.  Keep the two in step; the differential
+        tests in ``tests/perfmodel`` pin them together.
+        """
+        spec, params = self._spec, self._params
+        m, k, n, batch = shape.m, shape.k, shape.n, shape.batch
+        macro_m, macro_n = t.macro_m, t.macro_n
+        groups_m = -(-m // macro_m)
+        groups_n = -(-n // macro_n)
+        total_groups = groups_m * groups_n * batch
+        covered = (groups_m * macro_m) * (groups_n * macro_n)
+        k_steps = -(-k // t.acc)
+        launched_flops = 2.0 * covered * k_steps * t.acc * batch
+
+        # Launch geometry, residency, latency hiding, wave quantisation.
+        total_waves = total_groups * t.waves_per_group
+        simds = spec.compute_units * spec.simds_per_cu
+        capacity = simds * t.waves_per_simd
+        simd_utilization = np.minimum(1.0, total_waves / simds)
+        resident_waves = np.clip(total_waves / simds, 1.0, t.waves_per_simd)
+        effective = resident_waves * (0.5 + 0.5 * t.ilp)
+        hiding = effective / (effective + params.latency_hiding_half_waves)
+        full = float(spec.max_waves_per_simd)
+        hiding /= full / (full + params.latency_hiding_half_waves)
+        hiding = np.minimum(1.0, hiding)
+        rounds = -(-total_waves // capacity)
+        quantization = np.where(
+            total_waves > capacity, rounds * capacity / total_waves, 1.0
+        )
+
+        quirk = self._row_quirk(shape, t)
+
+        peak = spec.peak_gflops * 1e9 * spec.sustained_compute_efficiency
+        effective_rate = peak * simd_utilization * t.static_total * hiding
+        compute_seconds = launched_flops / effective_rate * quantization * quirk
+
+        # Memory traffic: L2 reuse, coalescing, channel camping.
+        a_slab = macro_m * k * _FP32
+        b_slab = k * macro_n * _FP32
+        c_tile = macro_m * macro_n * _FP32
+        l2_bytes = batch * (groups_m * groups_n * (a_slab + b_slab + c_tile))
+        compulsory = batch * (m * k + k * n + m * n) * _FP32
+        usable_l2 = params.l2_usable_fraction * spec.l2_bytes
+        resident_fraction = min(1.0, usable_l2 / ((m * k + k * n) * _FP32))
+        dram_bytes = compulsory + (l2_bytes - compulsory) * (1.0 - resident_fraction)
+        a_share = a_slab / (a_slab + b_slab + c_tile)
+        access = a_share * t.eff_a + (1.0 - a_share) * t.eff_bc
+        access = np.maximum(params.min_coalescing_efficiency, access)
+        if (n * _FP32) % 1024 == 0:
+            access = np.where(
+                t.wg_cols <= 2,
+                access * (1.0 - params.channel_camping_penalty),
+                access,
+            )
+        bandwidth = (
+            spec.dram_bandwidth_gbps
+            * 1e9
+            * spec.sustained_bandwidth_efficiency
+            * access
+        )
+        memory_seconds = dram_bytes / bandwidth * quirk
+
+        overhead_seconds = (
+            spec.kernel_launch_overhead_us * 1e-6 + params.host_overhead_s
+        )
+        kernel_total = (
+            overhead_seconds
+            + np.maximum(compute_seconds, memory_seconds)
+            + 0.15 * np.minimum(compute_seconds, memory_seconds)
+        )
+        if resolve_placement(shape) != DataPlacement.HOST.value:
+            return kernel_total
+
+        # transfer_phases over the row: padded panels, per-copy setup,
+        # uploads claiming the overlap budget before readback.
+        padded_m = groups_m * macro_m
+        padded_n = groups_n * macro_n
+        h2d_bytes = _FP32 * batch * (padded_m * k + k * padded_n)
+        d2h_bytes = _FP32 * batch * padded_m * padded_n
+        h2d_stream = h2d_bytes / (params.h2d_bandwidth_gbps * 1e9)
+        d2h_stream = d2h_bytes / (params.d2h_bandwidth_gbps * 1e9)
+        budget = params.transfer_overlap * kernel_total
+        h2d_hidden = np.minimum(h2d_stream, budget)
+        budget = budget - h2d_hidden
+        d2h_hidden = np.minimum(d2h_stream * (1.0 - 1.0 / batch), budget)
+        h2d_seconds = batch * (groups_m + groups_n) * params.h2d_overhead_s + h2d_stream
+        d2h_seconds = batch * groups_m * params.d2h_overhead_s + d2h_stream
+        visible = h2d_seconds + d2h_seconds - (h2d_hidden + d2h_hidden)
+        return kernel_total + visible
+
     # -- internals ----------------------------------------------------------
 
     def _quirk(self, shape: GemmShape, config: KernelConfig) -> float:
@@ -349,6 +498,34 @@ class GemmPerfModel:
             shape.m % 8,
         )
         coarse = (coarse_h % 10_000) / 10_000.0 * 2.0 - 1.0
+        fine = (fine_h % 10_000) / 10_000.0 * 2.0 - 1.0
+        w = self._params.quirk_coarse_weight
+        return 1.0 + amplitude * (w * coarse + (1.0 - w) * fine)
+
+    def _row_quirk(self, shape: GemmShape, t: ConfigTable) -> Union[float, np.ndarray]:
+        """:meth:`_quirk` for every config of ``t``: the same SHA-256
+        keys, hashed from the table's pre-encoded per-config prefixes."""
+        amplitude = self._params.alignment_penalty
+        if amplitude == 0:
+            return 1.0
+        step = self._params.quirk_coarse_log_step
+        buckets = (
+            int(np.log2(shape.m) / step),
+            int(np.log2(shape.k) / step),
+            int(np.log2(shape.n) / step),
+        )
+        # Coarse buckets are few (one per 2**step in each dimension), so
+        # their rows are memoised; the fine residues span 4096 keys, and
+        # a memo of those would add a fifth to a sweep's peak memory.
+        coarse = t.coarse_rows.get(buckets)
+        if coarse is None:
+            coarse_h = derive_seeds(t.coarse_prefixes, *buckets)
+            coarse = t.coarse_rows[buckets] = (
+                (coarse_h % 10_000) / 10_000.0 * 2.0 - 1.0
+            )
+        fine_h = derive_seeds(
+            t.fine_prefixes, shape.k % 16, shape.n % 32, shape.m % 8
+        )
         fine = (fine_h % 10_000) / 10_000.0 * 2.0 - 1.0
         w = self._params.quirk_coarse_weight
         return 1.0 + amplitude * (w * coarse + (1.0 - w) * fine)

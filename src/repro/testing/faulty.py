@@ -3,13 +3,13 @@
 Three injection points, all driven by one :class:`~repro.testing.plan.FaultPlan`:
 
 * :class:`FaultyModel` wraps a performance model's
-  ``measured_times_seconds`` — the interface
-  :class:`~repro.bench.runner.BenchmarkRunner` measures through — and
-  raises on planned (shape, config, attempt) coordinates.  Attempts are
-  counted per cell inside the wrapper, so retry semantics are exercised
-  exactly (the same counter-based idiom as the noise streams: each shape
-  is swept wholly inside one worker, so decisions are unaffected by
-  parallelism).
+  ``measured_times_seconds`` and ``measured_times_block`` — the
+  interface :class:`~repro.bench.runner.BenchmarkRunner` measures
+  through — and raises on planned (shape, config, attempt) coordinates.
+  Attempts are counted per cell inside the wrapper, so retry semantics
+  are exercised exactly (the same counter-based idiom as the noise:
+  each shape is swept wholly inside one worker, so decisions are
+  unaffected by parallelism).
 * :class:`FaultyQueue` wraps a :class:`~repro.sycl.queue.Queue` and
   raises on planned (kernel name, submission index) coordinates before
   the kernel executes.
@@ -51,7 +51,8 @@ class FaultyModel:
 
     Anything accepted as a :class:`BenchmarkRunner` ``model`` can be
     wrapped.  Each ``measured_times_seconds`` call for a (shape, config)
-    cell is one *attempt*; the plan decides per attempt, so transient
+    cell, and each healthy cell of a ``measured_times_block`` row, is one
+    *attempt*; the plan decides per attempt, so transient
     plans (``fail_attempts=k``) recover under the runner's retries while
     hard plans fail the cell outright.  One wrapper instance covers one
     sweep; call :meth:`reset` before reusing it.
@@ -100,6 +101,43 @@ class FaultyModel:
             iterations=iterations,
             start_iteration=start_iteration,
         )
+
+    def measured_times_block(
+        self,
+        shape: GemmShape,
+        configs: Sequence[KernelConfig],
+        *,
+        iterations: int,
+        start_iteration: int = 0,
+    ) -> np.ndarray:
+        """One sweep row, with planned faults deferred to the runner.
+
+        A cell whose next attempt the plan faults comes back as a NaN
+        row without consuming that attempt; the runner then measures it
+        through :meth:`measured_times_seconds`, whose attempts raise and
+        retry exactly as in a per-cell sweep.  Every other cell consumes
+        one attempt here and is measured by the wrapped model's block.
+        A wrapped model without a block method defers every cell.
+        """
+        block = getattr(self._model, "measured_times_block", None)
+        if block is None:
+            return np.full((len(configs), iterations), np.nan)
+        coords = shape.as_tuple()
+        deferred = []
+        for ci, config in enumerate(configs):
+            key = (coords, config_index(config))
+            attempt = self._attempts.get(key, 0)
+            if self._plan.fault_for(shape, config, attempt) is None:
+                self._attempts[key] = attempt + 1
+            else:
+                deferred.append(ci)
+        # The wrapped model caches its config table per config tuple, so
+        # the whole row is cheaper than a per-shape subset of it.
+        times = block(
+            shape, configs, iterations=iterations, start_iteration=start_iteration
+        )
+        times[deferred] = np.nan
+        return times
 
     def __getattr__(self, name):
         # Everything else (time_seconds, breakdown, params, ...) passes

@@ -18,13 +18,13 @@ True
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 Key = Union[int, str]
 
-__all__ = ["derive_seed", "rng_from", "stream"]
+__all__ = ["derive_seed", "derive_seeds", "key_prefix", "rng_from", "stream"]
 
 
 def _key_bytes(*keys: Key) -> bytes:
@@ -47,6 +47,27 @@ def derive_seed(root: int, *keys: Key) -> int:
         root.to_bytes(16, "little", signed=True) + b"|" + _key_bytes(*keys)
     ).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def key_prefix(root: int, *keys: Key) -> bytes:
+    """The bytes :func:`derive_seed` hashes for ``root`` and a leading
+    key path, up to the separator before the next key."""
+    return root.to_bytes(16, "little", signed=True) + b"|" + _key_bytes(*keys) + b"\x1f"
+
+
+def derive_seeds(prefixes: Sequence[bytes], *keys: Key) -> np.ndarray:
+    """:func:`derive_seed` for many key paths sharing their trailing keys.
+
+    Element ``i`` of ``derive_seeds([key_prefix(root, *head_i), ...],
+    *tail)`` equals ``derive_seed(root, *head_i, *tail)`` as a
+    ``uint64``: the prefixes are encoded once by the caller and the
+    shared tail once here, so only the SHA-256 runs per element.
+    """
+    tail = _key_bytes(*keys)
+    sha = hashlib.sha256
+    digests = b"".join([sha(prefix + tail).digest() for prefix in prefixes])
+    # Each digest is four little-endian words; the seed is the first.
+    return np.frombuffer(digests, dtype="<u8")[::4].astype(np.uint64)
 
 
 def stream(root: int, *keys: Key) -> np.random.Generator:

@@ -67,6 +67,21 @@ class TestRoundTrip:
             load_dataset(path)
 
 
+    def test_previous_format_refused_as_stale(self, result, tmp_path):
+        # Version-1 files hold the retired per-cell noise draws.
+        import json
+
+        path = save_dataset(result, tmp_path / "ds.npz")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["format_version"] = 1
+        arrays["meta"] = json.dumps(meta)
+        np.savez(path, **arrays)
+        with pytest.raises(CacheMismatchError, match="format 1"):
+            load_dataset(path)
+
+
 class TestCacheValidation:
     def test_no_expectations_accepts_any_cache(self, result, tmp_path):
         path = save_dataset(result, tmp_path / "ds.npz")

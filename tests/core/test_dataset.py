@@ -1,5 +1,6 @@
 """PerformanceDataset."""
 
+import json
 import warnings
 
 import numpy as np
@@ -110,6 +111,28 @@ class TestGenerateDatasetCache:
                 cache_path=cache,
             )
         np.testing.assert_array_equal(reloaded.gflops, regenerated.gflops)
+
+    def test_previous_format_cache_regenerated(self, tmp_path):
+        # A version-1 file carries the retired per-cell noise draws: it
+        # must be replaced by a fresh sweep, never mixed with new draws.
+        cache = tmp_path / "cache.npz"
+        fresh = generate_dataset(
+            networks=self.NETWORKS, runner_config=self.FAST, cache_path=cache
+        )
+        with np.load(cache) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["format_version"] = 1
+        arrays["meta"] = json.dumps(meta)
+        arrays["gflops"] = arrays["gflops"] * 1.01
+        np.savez(cache, **arrays)
+        with pytest.warns(UserWarning, match="stale dataset cache"):
+            regenerated = generate_dataset(
+                networks=self.NETWORKS, runner_config=self.FAST, cache_path=cache
+            )
+        np.testing.assert_array_equal(regenerated.gflops, fresh.gflops)
+        with np.load(cache) as data:
+            assert json.loads(str(data["meta"]))["format_version"] != 1
 
     def test_matching_cache_reused_silently(self, tmp_path):
         cache = tmp_path / "cache.npz"

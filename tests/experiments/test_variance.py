@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.variance import run_variance
+from repro.bench.runner import RunnerConfig
+from repro.experiments.variance import Spread, run_seed_spread, run_variance
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +41,38 @@ class TestVariance:
     def test_empty_seeds_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             run_variance(small_dataset, seeds=())
+
+
+class TestSeedSpread:
+    def test_aggregates_each_quantity_over_seeds(self):
+        seen = []
+
+        def measure(dataset, protocol):
+            seen.append(protocol.seed)
+            return {
+                "winners": int((dataset.win_counts() > 0).sum()),
+                "peak": float(dataset.best_gflops().max()),
+            }
+
+        spread = run_seed_spread(
+            measure,
+            seeds=(3, 4, 5),
+            runner_config=RunnerConfig(warmup_iterations=1, timed_iterations=2),
+            networks=("mobilenet_v2",),
+        )
+        assert seen == [3, 4, 5]
+        assert set(spread) == {"winners", "peak"}
+        peak = spread["peak"]
+        assert peak.low <= peak.mean <= peak.high
+        # Different seeds are different noise draws.
+        assert peak.std > 0 and peak.low < peak.high
+        low, high = peak.band(3.0)
+        assert low == pytest.approx(peak.mean - 3 * peak.std)
+        assert "+/-" in str(peak)
+
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(ValueError):
+            run_seed_spread(lambda ds, rc: {}, seeds=())
+
+    def test_spread_band(self):
+        assert Spread(mean=1.0, std=0.5, low=0.2, high=1.9).band(2.0) == (0.0, 2.0)

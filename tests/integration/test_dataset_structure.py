@@ -4,13 +4,20 @@ structure (DESIGN.md section 5).
 These tests run against the real 640-config dataset and assert the
 qualitative properties every downstream experiment depends on.  The
 tolerances are wide: they fail when the performance model drifts away
-from the paper's regime, not on noise.
+from the paper's regime, not on noise.  Each floor sits at or outside
+mean -/+ 3 sigma of its spread over runner seeds 2020-2031 (the noise
+draw; EXPERIMENTS.md, runner-seed spread), quoted as mean +/- std
+[min, max] next to it.
 """
 
 import numpy as np
 import pytest
 
+from repro.experiments import run_seed_spread
 from repro.utils.maths import geometric_mean
+
+#: Runner seeds for targets too noisy to pin on one draw.
+SPREAD_SEEDS = tuple(range(2020, 2028))
 
 
 @pytest.fixture(scope="module")
@@ -31,19 +38,29 @@ class TestFig2Structure:
     """One dominant winner, a long tail (paper: 32 wins / 58 winners)."""
 
     def test_long_tail_of_winners(self, full_dataset):
+        # 48.5 +/- 2.8 [45, 54] distinct winners.
         wins = full_dataset.win_counts()
         assert np.count_nonzero(wins) >= 35
 
     def test_dominant_winner(self, full_dataset):
+        # Top wins 20.2 +/- 4.8 [12, 28]; mean - 3 sigma is 5.7.
         wins = np.sort(full_dataset.win_counts())[::-1]
-        assert wins[0] >= 10
-        assert wins[0] >= 1.3 * wins[1]
+        assert wins[0] >= 5
+        # The lead over the runner-up is 1.54x +/- 0.38 [1.00, 2.17] per
+        # draw, so one draw cannot pin it (mean - 3 sigma is below 1);
+        # its mean over eight draws (std ~0.13) can.
+        def lead(dataset, protocol):
+            top, runner_up = np.sort(dataset.win_counts())[::-1][:2]
+            return {"lead": top / runner_up}
+
+        assert run_seed_spread(lead, seeds=SPREAD_SEEDS)["lead"].mean >= 1.1
 
 
 class TestFig1Structure:
     """Bad-everywhere configs and niche specialists."""
 
     def test_some_configs_bad_everywhere(self, normalized):
+        # 54.2 +/- 1.8 [51, 57] configs never reach half of optimal.
         best_anywhere = normalized.max(axis=0)
         assert np.sum(best_anywhere < 0.5) >= 20
 
@@ -51,6 +68,7 @@ class TestFig1Structure:
         # "Some configurations that perform poorly on the majority of
         # cases can be seen to perform well on a small number of specific
         # matrix sizes": winners with weak (< 0.6) mean performance.
+        # 17.8 +/- 2.4 [15, 23] niche winners.
         mean = normalized.mean(axis=0)
         winners = set(full_dataset.best_config_indices().tolist())
         niche = [c for c in winners if mean[c] < 0.6]
@@ -58,12 +76,14 @@ class TestFig1Structure:
 
     def test_no_single_config_is_good_everywhere(self, normalized):
         # The motivation for selection: even the best single config
-        # leaves large losses on some shapes.
+        # leaves large losses on some shapes.  0.845 +/- 0.019 [0.824,
+        # 0.885].
         best_single = np.exp(np.mean(np.log(normalized), axis=0)).max()
         assert best_single < 0.92
 
     def test_wide_per_shape_spread(self, normalized):
         # Choosing the worst config must be catastrophic on most shapes.
+        # 0.0138 +/- 0.0005 [0.0133, 0.0149].
         worst = normalized.min(axis=1)
         assert np.median(worst) < 0.10
 
@@ -74,6 +94,7 @@ class TestFig3Structure:
     def test_components_for_thresholds(self, full_dataset):
         from repro.core.pca_analysis import analyze_dataset
 
+        # 4 / 7.4 +/- 0.5 [7, 8] / 14 components on every draw.
         analysis = analyze_dataset(full_dataset)
         counts = analysis.components_for_threshold
         assert 2 <= counts[0.80] <= 7
@@ -84,7 +105,8 @@ class TestFig3Structure:
 class TestMagnitudes:
     def test_peak_gflops_regime(self, full_dataset):
         # Best configs on big GEMMs should reach GEMM-realistic rates on
-        # an 8.2 TFLOP/s part: above 1 TFLOP/s, below peak.
+        # an 8.2 TFLOP/s part: above 1 TFLOP/s, below peak.  4600 +/- 85
+        # [4465, 4714] GFLOP/s.
         best = full_dataset.best_gflops().max()
         assert 1000.0 < best < 8192.0
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.bench.runner import BenchmarkRunner, RunnerConfig
+from repro.perfmodel.model import GemmPerfModel
 from repro.core.dataset import PerformanceDataset
 from repro.core.pruning import TopNPruner
 from repro.core.pruning.evaluate import achievable_performance
@@ -12,7 +13,7 @@ from repro.core.selection.classifiers import make_selector
 from repro.core.selection.selector import selection_labels
 from repro.kernels.params import config_space
 from repro.sycl.device import Device
-from repro.testing import FaultKind, FaultPlan, faulty_runner
+from repro.testing import FaultKind, FaultPlan, FaultyModel, faulty_runner
 from repro.workloads.gemm import GemmShape
 
 SHAPES = (
@@ -116,6 +117,48 @@ class TestRetrySemantics:
             RunnerConfig(max_retries=-1)
         with pytest.raises(ValueError):
             RunnerConfig(retry_backoff_s=-0.5)
+
+
+class _PerCellOnly:
+    """Hides a model's block method, forcing the runner's per-cell path."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def measured_times_seconds(self, *args, **kwargs):
+        return self._model.measured_times_seconds(*args, **kwargs)
+
+
+class TestBlockPathFaults:
+    """The runner's whole-row path must fire exactly the faults, and
+    produce exactly the values, of the per-cell path."""
+
+    def sweep(self, *, per_cell: bool):
+        rc = RunnerConfig(max_retries=1, retry_backoff_s=0.5)
+        configs = config_space()
+        plan = FaultPlan(seed=21, rate=0.02).poison(
+            SHAPES[1], configs[7], fail_attempts=1
+        )
+        model = FaultyModel(GemmPerfModel(Device.r9_nano(), seed=rc.seed), plan)
+        runner = BenchmarkRunner(
+            Device.r9_nano(),
+            configs=configs,
+            runner_config=rc,
+            model=_PerCellOnly(model) if per_cell else model,
+        )
+        return runner.run(SHAPES[:3])
+
+    def test_block_and_per_cell_sweeps_agree(self):
+        block, per_cell = self.sweep(per_cell=False), self.sweep(per_cell=True)
+        # ~2% of 3 x 640 cells fail hard; one transient fault recovers.
+        assert 20 <= block.n_failed_cells <= 60
+        np.testing.assert_array_equal(
+            np.isnan(block.gflops), np.isnan(per_cell.gflops)
+        )
+        np.testing.assert_array_equal(block.gflops, per_cell.gflops)
+        np.testing.assert_array_equal(block.seconds, per_cell.seconds)
+        assert block.failures.records == per_cell.failures.records
+        assert block.failures.retries == per_cell.failures.retries >= 1
 
 
 class TestNaNMaskedDataset:

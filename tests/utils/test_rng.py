@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, rng_from, stream
+from repro.utils.rng import derive_seed, derive_seeds, key_prefix, rng_from, stream
 
 
 class TestDeriveSeed:
@@ -34,6 +34,20 @@ class TestDeriveSeed:
     def test_rejects_bool_keys(self):
         with pytest.raises(TypeError):
             derive_seed(0, True)
+
+
+class TestDeriveSeeds:
+    def test_matches_derive_seed_per_prefix(self):
+        heads = [("quirk", i) for i in range(20)] + [("x",), ("noise", "a", 7)]
+        seeds = derive_seeds([key_prefix(-3, *h) for h in heads], 5, "tail", 9)
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [
+            derive_seed(-3, *h, 5, "tail", 9) for h in heads
+        ]
+
+    def test_rejects_bad_tail_keys(self):
+        with pytest.raises(TypeError):
+            derive_seeds([key_prefix(0, "a")], 1.5)
 
 
 class TestStream:
