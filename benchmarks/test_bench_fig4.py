@@ -15,15 +15,14 @@ def test_bench_fig4(benchmark, full_dataset):
     )
     print("\n" + result.render())
 
-    # Clustering vs naive top-n at the smallest budget: +0.9 +/- 1.8
-    # points over 12 runner seeds, so only a fall far behind naive
-    # (mean - 3 sigma) fails (EXPERIMENTS.md, runner-seed spread).
-    assert result.naive_vs_clustering_gap(4) > -0.045
+    # Clustering beating naive top-n at the smallest budget is a mean
+    # over noise draws, not a property of this one draw: see
+    # tests/integration/test_paper_claims.py (EXPERIMENTS.md,
+    # runner-seed spread).
     # Best methods reach the mid-90s regime.
     _, _, best = result.best_score()
     assert best > 0.95
-    # The decision tree stays competitive at every budget >= 6 (worst
-    # gap -2.0 +/- 0.5 points over runner seeds; floor mean - 3 sigma).
+    # The decision tree stays competitive at every budget >= 6.
     for budget in (6, 8, 10, 12, 15):
         top = max(s[budget] for s in result.scores.values())
-        assert result.scores["decision tree"][budget] >= top - 0.035
+        assert result.scores["decision tree"][budget] >= top - 0.025

@@ -152,17 +152,6 @@ class Spread:
     low: float
     high: float
 
-    def band(self, sigmas: float = 3.0) -> Tuple[float, float]:
-        """``mean -/+ sigmas * std``: a floor or ceiling on a single
-        draw belongs outside this band."""
-        return self.mean - sigmas * self.std, self.mean + sigmas * self.std
-
-    def __str__(self) -> str:
-        return (
-            f"{self.mean:.4g} +/- {self.std:.2g} "
-            f"[{self.low:.4g}, {self.high:.4g}]"
-        )
-
 
 def run_seed_spread(
     measure: Callable[[PerformanceDataset, RunnerConfig], Mapping[str, float]],

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.runner import RunnerConfig
-from repro.experiments.variance import Spread, run_seed_spread, run_variance
+from repro.experiments.variance import run_seed_spread, run_variance
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +66,7 @@ class TestSeedSpread:
         assert peak.low <= peak.mean <= peak.high
         # Different seeds are different noise draws.
         assert peak.std > 0 and peak.low < peak.high
-        low, high = peak.band(3.0)
-        assert low == pytest.approx(peak.mean - 3 * peak.std)
-        assert "+/-" in str(peak)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             run_seed_spread(lambda ds, rc: {}, seeds=())
-
-    def test_spread_band(self):
-        assert Spread(mean=1.0, std=0.5, low=0.2, high=1.9).band(2.0) == (0.0, 2.0)

@@ -2,7 +2,10 @@
 
 Each test corresponds to a sentence in the paper's evaluation; tolerances
 accommodate the simulated substrate (we match shape, not absolute
-numbers — see EXPERIMENTS.md).
+numbers — see EXPERIMENTS.md).  A claim that one measurement-noise draw
+cannot settle is tested on its mean over the runner seeds in
+``SPREAD_SEEDS`` (EXPERIMENTS.md, runner-seed spread), through the
+module-level function that measures it on one draw.
 """
 
 import numpy as np
@@ -12,18 +15,84 @@ from repro.core.dataset import PerformanceDataset
 from repro.core.pruning import DecisionTreePruner
 from repro.core.pruning.evaluate import achievable_performance
 from repro.core.selection.classifiers import make_selector
-from repro.experiments import run_fig4, run_table1
+from repro.core.selection.evaluate import evaluate_selector
+from repro.experiments import run_fig4, run_seed_spread, run_table1
 from repro.sycl.device import Device
 from repro.testing import FaultPlan, faulty_runner
+
+#: Runner seeds (noise draws) for claims too noisy to pin on one draw.
+SPREAD_SEEDS = tuple(range(2020, 2028))
+
+#: Average over three splits: 34-shape test sets make single-split
+#: method rankings noisy (the paper reports one split; EXPERIMENTS.md
+#: shows both).
+FIG4_SPLITS = (0, 1, 2)
+
+#: Table I rows that contend for best at budgets 5-8.  The two SVM rows
+#: (RadialSVM collapsed, LinearSVM erratic) sit far below them, and
+#: leaving them out keeps eight draws affordable.
+TABLE1_CONTENDERS = (
+    "DecisionTree",
+    "RandomForest",
+    "1NearestNeighbor",
+    "3NearestNeighbors",
+)
+
+
+def clustering_lead(dataset):
+    """Best clustering method minus naive top-N at 4 configurations."""
+    fig4 = run_fig4(dataset, budgets=(4,), split_seeds=FIG4_SPLITS)
+    return fig4.naive_vs_clustering_gap(4)
+
+
+def table1_tree_gap(dataset):
+    """The decision tree's worst gap to the best contender, budgets 5-8,
+    on Table I's split."""
+    train, test = dataset.split(test_size=0.2, random_state=0)
+    gaps = []
+    for budget in (5, 6, 8):
+        pruned = DecisionTreePruner().select(train, budget)
+        scores = {
+            name: evaluate_selector(
+                make_selector(name, pruned, random_state=0).fit(train), test
+            ).score
+            for name in TABLE1_CONTENDERS
+        }
+        gaps.append(scores["DecisionTree"] - max(scores.values()))
+    return min(gaps)
+
+
+def fault_move(dataset, protocol):
+    """How far 2% fault-injected cells move the decision-tree-pruned
+    geomean at the paper's budget of 6."""
+    faulted = PerformanceDataset.from_benchmark(
+        faulty_runner(
+            Device.r9_nano(), FaultPlan(seed=7, rate=0.02), runner_config=protocol
+        ).run(dataset.shapes)
+    )
+    pruner = DecisionTreePruner()
+    clean = achievable_performance(pruner.select(dataset, 6), dataset)
+    return abs(
+        clean - achievable_performance(pruner.select(faulted, 6), faulted)
+    )
+
+
+@pytest.fixture(scope="module")
+def spread():
+    return run_seed_spread(
+        lambda dataset, protocol: {
+            "clustering lead": clustering_lead(dataset),
+            "table1 tree gap": table1_tree_gap(dataset),
+            "fault move": fault_move(dataset, protocol),
+        },
+        seeds=SPREAD_SEEDS,
+    )
 
 
 @pytest.fixture(scope="module")
 def fig4(full_dataset):
-    # Average over three splits: 34-shape test sets make single-split
-    # method rankings noisy (the paper reports one split; EXPERIMENTS.md
-    # shows both).
     return run_fig4(
-        full_dataset, budgets=(4, 5, 6, 8, 10, 12, 15), split_seeds=(0, 1, 2)
+        full_dataset, budgets=(4, 5, 6, 8, 10, 12, 15), split_seeds=FIG4_SPLITS
     )
 
 
@@ -33,19 +102,15 @@ def table1(full_dataset):
 
 
 class TestFig4Claims:
-    def test_clustering_beats_naive_when_very_limited(self, fig4):
+    def test_clustering_beats_naive_when_very_limited(self, spread):
         """'When the number of configurations is very limited, the
         clustering methods all perform significantly better than the
         naive method.'"""
-        naive = fig4.scores["top-n"][4]
-        clustering_best = max(
-            fig4.scores[m][4] for m in fig4.scores if m != "top-n"
-        )
-        # Over runner seeds 2020-2031 the margin is +0.9 +/- 1.8 points
-        # [-2.4, +4.8]: "significantly better" does not survive the noise
-        # draw on this substrate (EXPERIMENTS.md, runner-seed spread).
-        # The floor is mean - 3 sigma: clustering never falls far behind.
-        assert clustering_best > naive - 0.045
+        # The lead is +0.98 points on the default draw and +0.9 +/- 2.1
+        # [-2.4, +4.8] over SPREAD_SEEDS: clustering beats naive on
+        # average, but not by the paper's margin on every draw
+        # (EXPERIMENTS.md, runner-seed spread).
+        assert spread["clustering lead"].mean > 0.0
 
     def test_best_methods_reach_mid_nineties_at_6(self, fig4):
         """'With a limit of 6 kernels, the decision tree and PCA+k-means
@@ -65,14 +130,12 @@ class TestFig4Claims:
     def test_decision_tree_competitive_at_6_plus(self, fig4):
         """'The decision tree consistently provided the best results when
         6 or more kernel configurations were allowed.'  On the simulated
-        dataset we require it to be within 3.5 points of the best
+        dataset we require it to be within 2.5 points of the best
         technique at every budget >= 6 (single-split rankings are noisy;
         EXPERIMENTS.md reports the multi-seed comparison)."""
-        # Worst gap over runner seeds 2020-2031: -2.0 +/- 0.5 points
-        # [-3.1, -1.2]; the floor is mean - 3 sigma.
         for budget in (6, 8, 10, 12, 15):
             best = max(scores[budget] for scores in fig4.scores.values())
-            assert fig4.scores["decision tree"][budget] >= best - 0.035
+            assert fig4.scores["decision tree"][budget] >= best - 0.025
 
     def test_best_case_above_95(self, fig4):
         _, _, score = fig4.best_score()
@@ -104,14 +167,18 @@ class TestTable1Claims:
         ]
         assert max(gaps) > 0.02
 
-    def test_decision_tree_competitive(self, table1):
+    def test_decision_tree_competitive(self, table1, spread):
         """'The decision tree outperforms or comes close to the
         performance of all other classifiers.'"""
-        # Worst gap to the best classifier over runner seeds 2020-2031:
-        # -2.4 +/- 1.5 points [-5.2, -0.5]; the floor is mean - 3 sigma.
+        # The worst gap is -5.2 points on the default draw (random forest
+        # leads) and -3.0 +/- 1.5 [-5.2, -0.5] over SPREAD_SEEDS, so the
+        # 5-point tolerance holds on the mean, not on every draw.
         for budget in (5, 6, 8):
             best = max(ev.score for ev in table1.evaluations[budget])
-            assert table1.score("DecisionTree", budget) >= best - 0.07
+            assert best == max(
+                table1.score(name, budget) for name in TABLE1_CONTENDERS
+            )
+        assert spread["table1 tree gap"].mean >= -0.05
 
     def test_radial_svm_collapses(self, table1):
         """The RadialSVM row sits far below the tree-based rows and is
@@ -170,23 +237,15 @@ class TestFaultTolerantPipeline:
         assert np.all(np.isfinite(normalized))
         assert np.all(normalized[faulted_dataset.failed_mask] == 0.0)
 
-    def test_pruning_geomean_within_a_point_of_fault_free(
-        self, full_dataset, faulted_dataset
-    ):
+    def test_pruning_geomean_within_a_point_of_fault_free(self, spread):
         """Decision-tree pruning at the paper's budget of 6: the
         achievable-performance geomean under 2% faults stays close to
         the fault-free sweep's."""
-        pruner = DecisionTreePruner()
-        clean = achievable_performance(
-            pruner.select(full_dataset, 6), full_dataset
-        )
-        faulted = achievable_performance(
-            pruner.select(faulted_dataset, 6), faulted_dataset
-        )
-        # Over runner seeds 2020-2031 the move is 1.1 +/- 0.8 points
-        # [0.4, 3.3]: masking 2% of cells can swap a pruned config.  The
-        # bound is mean + 3 sigma.
-        assert abs(clean - faulted) < 0.035
+        # The move is 1.2 points on the default draw and 1.2 +/- 0.9
+        # [0.4, 3.3] over SPREAD_SEEDS: masking 2% of cells can swap a
+        # pruned config, so "under a point" holds on half the draws and
+        # the mean stays within a point and a half.
+        assert spread["fault move"].mean < 0.015
 
     def test_selector_trains_and_serves_on_masked_data(self, faulted_dataset):
         train, test = faulted_dataset.split(test_size=0.3, random_state=0)

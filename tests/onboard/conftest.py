@@ -36,48 +36,52 @@ def onboard_shapes(all_shapes):
     return tuple(shapes[::2])
 
 
+def profile_runner(profile, configs, runner_config) -> BenchmarkRunner:
+    """A fresh benchmark runner for one profile's device."""
+    return BenchmarkRunner(
+        profile.device(),
+        configs=configs,
+        runner_config=runner_config,
+        model_params=profile.model_params,
+    )
+
+
+def build_branches(shapes, configs, runner_config):
+    """device_id -> (profile, full-sweep dataset) for the builtin four."""
+    return {
+        profile.device_id: (
+            profile,
+            PerformanceDataset.from_benchmark(
+                profile_runner(profile, configs, runner_config).run(shapes)
+            ),
+        )
+        for profile in fleet_profiles(FLEET_IDS)
+    }
+
+
+def branch_sources(branches, target: str):
+    """Every branch except the target, as SourceBranch tuples."""
+    return tuple(
+        SourceBranch(device_id=did, spec=prof.spec, dataset=ds)
+        for did, (prof, ds) in branches.items()
+        if did != target
+    )
+
+
 @pytest.fixture(scope="session")
 def branches(onboard_shapes, small_configs, onboard_runner_config):
-    """device_id -> (profile, full-sweep dataset) for the builtin four."""
-    out = {}
-    for profile in fleet_profiles(FLEET_IDS):
-        runner = BenchmarkRunner(
-            profile.device(),
-            configs=small_configs,
-            runner_config=onboard_runner_config,
-            model_params=profile.model_params,
-        )
-        out[profile.device_id] = (
-            profile,
-            PerformanceDataset.from_benchmark(runner.run(onboard_shapes)),
-        )
-    return out
+    return build_branches(onboard_shapes, small_configs, onboard_runner_config)
 
 
 @pytest.fixture(scope="session")
 def make_runner(small_configs, onboard_runner_config):
     """Factory: a fresh benchmark runner for one profile's device."""
-
-    def _make(profile):
-        return BenchmarkRunner(
-            profile.device(),
-            configs=small_configs,
-            runner_config=onboard_runner_config,
-            model_params=profile.model_params,
-        )
-
-    return _make
+    return lambda profile: profile_runner(
+        profile, small_configs, onboard_runner_config
+    )
 
 
 @pytest.fixture(scope="session")
 def sources_for(branches):
     """Factory: every branch except the target, as SourceBranch tuples."""
-
-    def _sources(target: str):
-        return tuple(
-            SourceBranch(device_id=did, spec=prof.spec, dataset=ds)
-            for did, (prof, ds) in branches.items()
-            if did != target
-        )
-
-    return _sources
+    return lambda target: branch_sources(branches, target)

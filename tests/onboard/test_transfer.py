@@ -1,5 +1,7 @@
 """Transfer: residual correction math, calibration, zero-shot LODO."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,37 @@ from repro.onboard import (
     fit_residual_correction,
     run_partial_sweep,
 )
+from repro.experiments import run_seed_spread
 from repro.utils.maths import geometric_mean
 
-from .conftest import FLEET_IDS, FAST_BUDGET
+from .conftest import (
+    FAST_BUDGET,
+    FLEET_IDS,
+    branch_sources,
+    build_branches,
+    profile_runner,
+)
+
+#: Runner seeds (noise draws) for claims too noisy to pin on one draw.
+SPREAD_SEEDS = tuple(range(2020, 2028))
+
+#: The held-out device of the calibration tests.
+TARGET = "bandwidth-lean"
+
+
+def calibrated_vs_zero_shot(branches, sources, sweep):
+    """Quality of the calibrated table's argmax picks on ``TARGET`` and
+    the zero-shot transfer score, both against its full sweep."""
+    profile, truth = branches[TARGET]
+    full = calibrated_dataset(sources, profile.spec, sweep, FAST_BUDGET)
+    achieved = truth.normalized()[
+        np.arange(truth.n_shapes), full.best_config_indices()
+    ]
+    quality = geometric_mean(np.maximum(achieved, 1e-9))
+    zero_shot = (
+        TransferSelector(random_state=0).fit(sources).score(profile.spec, truth)
+    )
+    return quality, zero_shot
 
 
 class TestResidualCorrection:
@@ -105,28 +135,48 @@ class TestCalibratedDataset:
         assert np.array_equal(tables[0], tables[1])
 
     def test_selector_quality_beats_zero_shot(
-        self, branches, sweep, sources_for
+        self,
+        branches,
+        sweep,
+        sources_for,
+        onboard_shapes,
+        small_configs,
+        onboard_runner_config,
     ):
-        # The point of spending budget: the calibrated table's argmax
-        # picks should score about as well as no-budget transfer.  Over
-        # runner seeds 2020-2031 quality is 0.903 +/- 0.029 [0.854,
-        # 0.953] and its margin over zero-shot -0.7 +/- 4.8 points
-        # [-10.2, +6.4], so beating zero-shot is not robust at this
-        # test scale; both floors are mean - 3 sigma.
-        profile, truth = branches["bandwidth-lean"]
-        sources = sources_for("bandwidth-lean")
-        full = calibrated_dataset(sources, profile.spec, sweep, FAST_BUDGET)
-        picks = full.best_config_indices()
-        normalized = truth.normalized()
-        achieved = normalized[np.arange(truth.n_shapes), picks]
-        quality = geometric_mean(np.maximum(achieved, 1e-9))
-        zero_shot = (
-            TransferSelector(random_state=0)
-            .fit(sources)
-            .score(profile.spec, truth)
+        # The whole point of spending budget: the calibrated table's
+        # argmax picks must score at least as well as no-budget transfer.
+        quality, _ = calibrated_vs_zero_shot(
+            branches, sources_for(TARGET), sweep
         )
-        assert quality >= zero_shot - 0.15
-        assert quality > 0.81
+        assert quality > 0.85
+
+        # The margin over zero-shot is -6.5 points on the default draw
+        # and -1.8 +/- 5.1 [-10.2, +6.4] over SPREAD_SEEDS at this test
+        # scale, so the 2-point tolerance holds on the mean, not on every
+        # draw (EXPERIMENTS.md, runner-seed spread).
+        def margin(dataset, protocol):
+            runner_config = dataclasses.replace(
+                onboard_runner_config, seed=protocol.seed
+            )
+            drawn = build_branches(onboard_shapes, small_configs, runner_config)
+            sources = branch_sources(drawn, TARGET)
+            drawn_sweep = run_partial_sweep(
+                profile_runner(drawn[TARGET][0], small_configs, runner_config),
+                onboard_shapes,
+                FAST_BUDGET,
+                sources=sources,
+            )
+            quality, zero_shot = calibrated_vs_zero_shot(
+                drawn, sources, drawn_sweep
+            )
+            return {"margin": quality - zero_shot}
+
+        # Only the runner seed matters to ``margin``, so the full sweep
+        # run_seed_spread regenerates is kept to one network.
+        spread = run_seed_spread(
+            margin, seeds=SPREAD_SEEDS, networks=("mobilenet_v2",)
+        )
+        assert spread["margin"].mean >= -0.02
 
 
 class TestTransferSelector:
