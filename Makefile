@@ -16,7 +16,7 @@ test:
 deep:
 	PYTHONPATH=src python -m pytest \
 		tests/integration tests/testing tests/serving tests/pipeline \
-		tests/fleet tests/obs tests/adaptive tests/shard tests/onboard \
+		tests/fleet tests/obs tests/adaptive tests/onboard \
 		tests/perfmodel tests/workloads tests/kernels tests/experiments \
 		-q -p no:randomly
 	PYTHONPATH=src python -m repro.cli pipeline run \
@@ -53,25 +53,19 @@ bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 # Mirrors the CI bench-smoke job: throughput, obs-overhead, compiled
-# hot-path, adaptive-layer, shard-scaling and transfer-aware placement
-# gates plus a 5 s loadgen smoke with a qps floor, a multiprocess
-# scaling run with a core-count aware floor, a drifted run with a
-# gap-closure floor, the onboarding quality/cost gate (95% quality at
-# a 10% budget) and the full-stride placement-flip experiment gate.
+# hot-path, adaptive-layer and transfer-aware placement gates plus a
+# 5 s loadgen smoke with a qps floor, a drifted run with a gap-closure
+# floor, the onboarding quality/cost gate (95% quality at a 10% budget)
+# and the full-stride placement-flip experiment gate.
 bench-smoke:
 	PYTHONPATH=src python -m pytest \
 		benchmarks/test_bench_serving.py benchmarks/test_bench_obs.py \
 		benchmarks/test_bench_codegen.py benchmarks/test_bench_adaptive.py \
-		benchmarks/test_bench_shard.py benchmarks/test_bench_onboard.py \
-		benchmarks/test_bench_placement.py \
+		benchmarks/test_bench_onboard.py benchmarks/test_bench_placement.py \
 		-q -p no:randomly --benchmark-json=bench-results.json
 	PYTHONPATH=src python -m repro.cli loadgen run \
 		--qps 40000 --duration 5 --workers 4 --compiled \
 		--min-qps 10000 --report-json loadgen-report.json
-	PYTHONPATH=src python -m repro.cli shard bench \
-		--processes 4 --qps 40000 --duration 2 --workers 2 \
-		--compiled --min-scaling 3.0 \
-		--report-json shard-scaling-report.json
 	PYTHONPATH=src python -m repro.cli loadgen run \
 		--adaptive --no-pace --qps 4000 --duration 3 --workers 4 \
 		--zipf 1.3 --drift-at 0.35 --min-gap-closure 0.5 \

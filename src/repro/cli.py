@@ -14,13 +14,7 @@ Subcommands
 * ``loadgen``     — closed-loop load harness: ``run`` Poisson/diurnal
   traffic with Zipf-skewed network shapes against a replica fleet and
   report p50/p99/p999 from the obs histograms; ``--adaptive`` runs the
-  drifted-workload scenario through adaptive services; ``--processes``
-  drives a process-parallel :class:`~repro.shard.ShardedFleet` instead
-  of the in-process replica router.
-* ``shard``       — sharded process-parallel serving: ``serve`` traffic
-  through a worker fleet (optionally killing a worker mid-run to demo
-  failover), ``stats`` the shard.* metrics of an obs snapshot,
-  ``bench`` single-process vs N-process scaling with a CI floor.
+  drifted-workload scenario through adaptive services.
 * ``adaptive``    — online adaptive selection: ``demo`` a deterministic
   drift replay (promotions/demotions timeline, gap closure, digest),
   ``stats`` the adaptive.* metrics of an obs snapshot.
@@ -415,95 +409,13 @@ def _resolve_selector_artifact(args, store):
     return artifact_id
 
 
-def _build_sharded_fleet(args, registry, *, processes):
-    """A :class:`ShardedFleet` from --store or a synthetic selector."""
-    from repro.shard import ShardedFleet
-
-    kwargs = dict(
-        processes=processes,
-        compiled=args.compiled,
-        cache_capacity=args.cache_capacity,
-        registry=registry,
-    )
-    if args.store is not None:
-        from repro.pipeline import ArtifactStore
-
-        store = ArtifactStore(args.store)
-        artifact_id = _resolve_selector_artifact(args, store)
-        if artifact_id is None:
-            return None
-        return ShardedFleet.from_artifact(store, artifact_id, **kwargs)
-    from repro.loadgen import synthetic_deployed
-
-    deployed = synthetic_deployed(budget=args.budget, seed=args.seed)
-    return ShardedFleet.from_deployed(deployed, **kwargs)
-
-
-def _run_sharded_loadgen(args, registry) -> int:
-    import json
-
-    from repro.loadgen import report_document, run_sharded_load
-
-    config = _loadgen_config(args)
-    fleet = _build_sharded_fleet(args, registry, processes=args.processes)
-    if fleet is None:
-        return 1
-    try:
-        report = run_sharded_load(fleet, config, chunk_size=args.chunk_size)
-        print(
-            f"loadgen: {args.processes} shard worker processes "
-            f"({'compiled' if args.compiled else 'tree-walk'} policy), "
-            f"{config.workers} generator threads, zipf {config.zipf_skew}"
-        )
-        print(report.render())
-        print(fleet.stats(pull=False).render())
-    finally:
-        fleet.close()
-    if args.report_json is not None:
-        args.report_json.write_text(
-            json.dumps(
-                report_document(
-                    report,
-                    config=_loadgen_config_doc(args),
-                    command="repro loadgen run",
-                ),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        print(f"report written to {args.report_json}")
-    if args.obs_export is not None:
-        _export_obs(args.obs_export, registry)
-    if args.min_qps is not None and report.achieved_qps < args.min_qps:
-        print(
-            f"ERROR: achieved {report.achieved_qps:,.0f} qps, below the "
-            f"--min-qps floor of {args.min_qps:,.0f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_loadgen(args) -> int:
     import json
 
-    from repro.loadgen import (
-        report_document,
-        run_load,
-        synthetic_router,
-    )
+    from repro.loadgen import report_document, run_load, synthetic_fleet
     from repro.obs import default_registry
 
     registry = default_registry()
-    if args.processes is not None:
-        if args.adaptive:
-            print(
-                "ERROR: --processes drives a sharded worker fleet; the "
-                "--adaptive drift scenario is in-process only",
-                file=sys.stderr,
-            )
-            return 1
-        return _run_sharded_loadgen(args, registry)
     if args.adaptive and args.store is not None:
         print(
             "ERROR: --adaptive runs the drifted synthetic-fleet scenario; "
@@ -554,7 +466,7 @@ def _cmd_loadgen(args) -> int:
                 ),
             )
     else:
-        router = synthetic_router(
+        router = synthetic_fleet(
             replicas=args.replicas,
             registry=registry,
             routing_policy=args.policy,
@@ -562,7 +474,7 @@ def _cmd_loadgen(args) -> int:
             budget=args.budget,
             seed=args.seed,
             compiled=args.compiled,
-        )
+        ).router
 
     config = _loadgen_config(args)
     if args.adaptive:
@@ -640,165 +552,6 @@ def _cmd_loadgen(args) -> int:
             )
             return 1
     return 0
-
-
-def _usable_cpus() -> int:
-    """CPUs available to shard workers (one reserved for the front door)."""
-    import os
-
-    return max(1, (os.cpu_count() or 1) - 1)
-
-
-def _cmd_shard(args) -> int:
-    import json
-
-    if args.action == "stats":
-        from repro.obs import render_dump
-
-        if args.snapshot is None:
-            print(
-                "ERROR: shard stats reads a snapshot; pass --snapshot PATH "
-                "(export one with `repro shard serve --obs-export PATH`)",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            doc = json.loads(Path(args.snapshot).read_text())
-        except FileNotFoundError:
-            print(f"no obs snapshot at {args.snapshot}", file=sys.stderr)
-            return 1
-        metrics = doc.get("metrics", {})
-        filtered = {
-            kind: [
-                entry
-                for entry in metrics.get(kind, [])
-                if str(entry.get("name", "")).startswith("shard.")
-            ]
-            for kind in ("counters", "gauges", "histograms")
-        }
-        if not any(filtered.values()):
-            print("no shard.* metrics in the snapshot", file=sys.stderr)
-            return 1
-        print(render_dump({**doc, "metrics": filtered, "spans": []}))
-        return 0
-
-    from repro.obs import default_registry
-
-    registry = default_registry()
-
-    if args.action == "serve":
-        from repro.loadgen import ShapeStream, network_shape_pool
-
-        fleet = _build_sharded_fleet(args, registry, processes=args.processes)
-        if fleet is None:
-            return 1
-        try:
-            pool = (
-                network_shape_pool(tuple(args.networks))
-                if args.networks
-                else network_shape_pool()
-            )
-            stream = ShapeStream(pool, skew=args.zipf, seed=args.seed)
-            shapes = stream.take(args.requests)
-            kill_at = args.requests // 2
-            issued = 0
-            for start in range(0, args.requests, args.batch_size):
-                kill_now = (
-                    args.kill is not None
-                    and issued <= kill_at < issued + args.batch_size
-                )
-                if kill_now:
-                    print(f"killing worker {args.kill} mid-run...")
-                    fleet.kill_worker(args.kill)
-                chunk = shapes[start : start + args.batch_size]
-                fleet.select_batch(chunk)
-                issued += len(chunk)
-            print(
-                f"served {issued} requests in batches of "
-                f"{args.batch_size} across {args.processes} worker processes"
-            )
-            print(fleet.stats().render())
-        finally:
-            fleet.close()
-        if args.obs_export is not None:
-            _export_obs(args.obs_export, registry)
-        return 0
-
-    if args.action == "bench":
-        from repro.loadgen import report_document, run_sharded_load
-        from repro.obs import MetricsRegistry
-
-        config = _loadgen_config(args)
-        reports = {}
-        for label, processes in (("single", 1), ("sharded", args.processes)):
-            fleet = _build_sharded_fleet(
-                args, MetricsRegistry(), processes=processes
-            )
-            if fleet is None:
-                return 1
-            try:
-                reports[label] = run_sharded_load(
-                    fleet, config, chunk_size=args.chunk_size
-                )
-            finally:
-                fleet.close()
-        single, sharded = reports["single"], reports["sharded"]
-        scaling = (
-            sharded.achieved_qps / single.achieved_qps
-            if single.achieved_qps > 0
-            else 0.0
-        )
-        usable = _usable_cpus()
-        parallelism = min(args.processes, usable)
-        efficiency = scaling / parallelism if parallelism > 0 else 0.0
-        print(
-            f"shard bench: 1 vs {args.processes} worker processes "
-            f"({usable} usable CPUs), {config.workers} generator threads"
-        )
-        print(f"single : {single.render()}")
-        print(f"sharded: {sharded.render()}")
-        print(
-            f"scaling: {scaling:.2f}x over 1 process "
-            f"(efficiency {efficiency:.2f} over {parallelism} "
-            f"usable-parallel workers)"
-        )
-        if args.report_json is not None:
-            doc = report_document(
-                sharded,
-                config=_loadgen_config_doc(args),
-                command="repro shard bench",
-            )
-            doc["baseline"] = single.to_dict()
-            doc["scaling"] = scaling
-            doc["efficiency"] = efficiency
-            doc["usable_cpus"] = usable
-            doc["processes"] = args.processes
-            args.report_json.write_text(
-                json.dumps(doc, indent=2, sort_keys=True)
-            )
-            print(f"report written to {args.report_json}")
-        if args.min_scaling is not None:
-            # Core-count aware: a 4-worker fleet cannot scale 3x on a
-            # 2-CPU runner, so the enforced floor never exceeds 75% of
-            # the achievable parallelism.
-            floor = min(args.min_scaling, 0.75 * parallelism)
-            if parallelism < 2:
-                print(
-                    f"NOTE: only {usable} usable CPU(s); --min-scaling "
-                    "not enforced"
-                )
-            elif scaling < floor:
-                print(
-                    f"ERROR: scaled {scaling:.2f}x over 1 process, below "
-                    f"the floor of {floor:.2f}x (requested "
-                    f"{args.min_scaling:.2f}x, {parallelism} "
-                    "usable-parallel workers)",
-                    file=sys.stderr,
-                )
-                return 1
-        return 0
-
-    raise ValueError(f"unknown shard action {args.action!r}")
 
 
 def _cmd_adaptive(args) -> int:
@@ -1780,20 +1533,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the drifted-workload scenario through adaptive services",
     )
     p.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="drive a sharded fleet of N worker processes instead of "
-        "in-process replicas (see `repro shard`)",
-    )
-    p.add_argument(
-        "--chunk-size",
-        type=int,
-        default=256,
-        help="requests per select_batch chunk (with --processes)",
-    )
-    p.add_argument(
         "--no-pace",
         action="store_true",
         help="skip inter-arrival sleeps (as-fast-as-possible replay)",
@@ -1850,116 +1589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a repro.obs JSON snapshot (see `repro obs`)",
     )
     p.set_defaults(func=_cmd_loadgen)
-
-    p = sub.add_parser(
-        "shard",
-        help="sharded process-parallel serving: serve / stats / bench",
-    )
-    p.add_argument("action", choices=("serve", "stats", "bench"))
-    p.add_argument(
-        "--processes", type=int, default=2, help="shard worker processes"
-    )
-    p.add_argument(
-        "--compiled",
-        action="store_true",
-        help="workers serve the compiled selector hot path",
-    )
-    p.add_argument("--budget", type=int, default=4, help="pruned config count")
-    p.add_argument(
-        "--cache-capacity", type=int, default=4096, help="LRU memo capacity"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        help="serve a selector artifact from this pipeline store "
-        "(default: tune a synthetic selector in-process)",
-    )
-    p.add_argument(
-        "--artifact",
-        default=None,
-        help="artifact id/fingerprint prefix (default: latest train stage)",
-    )
-    p.add_argument(
-        "--requests", type=int, default=10000, help="serve: total queries"
-    )
-    p.add_argument(
-        "--batch-size", type=int, default=256, help="serve: queries per batch"
-    )
-    p.add_argument(
-        "--kill",
-        type=int,
-        default=None,
-        metavar="WORKER",
-        help="serve: SIGKILL this worker index mid-run (failover demo)",
-    )
-    p.add_argument(
-        "--qps", type=float, default=20000.0, help="bench: base arrival rate"
-    )
-    p.add_argument(
-        "--duration", type=float, default=2.0, help="bench: scheduled seconds"
-    )
-    p.add_argument(
-        "--workers", type=int, default=2, help="bench: generator threads"
-    )
-    p.add_argument(
-        "--diurnal-amplitude", type=float, default=0.0, help="bench rate swing"
-    )
-    p.add_argument(
-        "--diurnal-period", type=float, default=60.0, help="bench cycle secs"
-    )
-    p.add_argument(
-        "--zipf", type=float, default=1.1, help="hot-key skew (0 = uniform)"
-    )
-    p.add_argument(
-        "--networks",
-        nargs="*",
-        default=None,
-        metavar="NET",
-        help="shape pool networks (default: vgg16 resnet50 mobilenet_v2)",
-    )
-    p.add_argument(
-        "--chunk-size",
-        type=int,
-        default=256,
-        help="bench: requests per select_batch chunk",
-    )
-    p.add_argument(
-        "--no-pace",
-        action="store_true",
-        default=True,
-        help=argparse.SUPPRESS,  # bench always replays flat-out
-    )
-    p.add_argument(
-        "--min-scaling",
-        type=float,
-        default=None,
-        help="bench: exit 1 if N-process throughput scales below this "
-        "factor over 1 process (core-count aware; CI gate)",
-    )
-    p.add_argument(
-        "--report-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="bench: write the scaling report as JSON (CI artifact)",
-    )
-    p.add_argument(
-        "--snapshot",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="stats: obs JSON snapshot written by --obs-export",
-    )
-    p.add_argument(
-        "--obs-export",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="serve: write a repro.obs JSON snapshot (see `repro obs`)",
-    )
-    p.set_defaults(func=_cmd_shard)
 
     p = sub.add_parser(
         "adaptive",

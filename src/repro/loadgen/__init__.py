@@ -28,7 +28,6 @@ from repro.loadgen.harness import (
     run_load,
     synthetic_deployed,
     synthetic_fleet,
-    synthetic_router,
 )
 from repro.loadgen.report import (
     DriftSummary,
@@ -44,7 +43,6 @@ from repro.loadgen.workload import (
     ShapeStream,
     network_shape_pool,
 )
-from repro.loadgen.sharded import run_sharded_load
 
 __all__ = [
     "DEFAULT_NETWORKS",
@@ -68,8 +66,6 @@ __all__ = [
     "report_document",
     "run_drift_load",
     "run_load",
-    "run_sharded_load",
     "synthetic_deployed",
     "synthetic_fleet",
-    "synthetic_router",
 ]

@@ -49,7 +49,6 @@ __all__ = [
     "run_load",
     "synthetic_deployed",
     "synthetic_fleet",
-    "synthetic_router",
 ]
 
 #: A worker this far behind schedule counts the arrival as late.
@@ -270,8 +269,7 @@ def synthetic_deployed(
     Generates a reduced performance dataset (small configuration space
     over every 7th network shape) and tunes a decision-tree
     :class:`~repro.core.deploy.DeployedSelector` on it.  The common
-    fixture behind :func:`synthetic_fleet` and the process-parallel
-    shard demos (:class:`~repro.shard.ShardedFleet.from_deployed`).
+    fixture behind :func:`synthetic_fleet`.
     """
     from repro.bench.runner import BenchmarkRunner, RunnerConfig
     from repro.core.dataset import PerformanceDataset
@@ -358,24 +356,3 @@ def synthetic_fleet(
         registry=registry,
     )
 
-
-def synthetic_router(
-    *,
-    replicas: int = 2,
-    registry: Optional[MetricsRegistry] = None,
-    routing_policy: str = "round-robin",
-    cache_capacity: int = 4096,
-    budget: int = 4,
-    seed: int = 0,
-    compiled: bool = False,
-) -> FleetRouter:
-    """The router of a :func:`synthetic_fleet` (backwards-compat shim)."""
-    return synthetic_fleet(
-        replicas=replicas,
-        registry=registry,
-        routing_policy=routing_policy,
-        cache_capacity=cache_capacity,
-        budget=budget,
-        seed=seed,
-        compiled=compiled,
-    ).router

@@ -12,7 +12,6 @@ The legacy ``stats()`` snapshots (``ServiceStats``, ``FleetStats``,
 is double-counted.
 """
 
-from repro.obs.aggregate import SnapshotDeltaTracker
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -40,7 +39,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_TRACER",
     "OBS_SCHEMA",
-    "SnapshotDeltaTracker",
     "SpanRecord",
     "Tracer",
     "default_registry",

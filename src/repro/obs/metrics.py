@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -93,10 +93,6 @@ class Counter:
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self.value}
 
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` dict (or delta) into this counter."""
-        self.inc(int(snapshot["value"]))
-
     def __repr__(self) -> str:
         return f"Counter({self.value})"
 
@@ -137,10 +133,6 @@ class Gauge:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self.value}
-
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Adopt the snapshot's value (gauges carry state, not deltas)."""
-        self.set(float(snapshot["value"]))
 
     def __repr__(self) -> str:
         return f"Gauge({self.value})"
@@ -267,40 +259,6 @@ class Histogram:
                 "min": self._min,
                 "max": self._max,
             }
-
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` dict (or delta) into this histogram.
-
-        Bucket counts, ``count`` and ``sum`` add; ``min``/``max`` merge
-        (an incoming empty snapshot is a no-op, and a previously empty
-        histogram adopts the incoming extrema outright so a zero
-        placeholder never wins a ``min``).
-        """
-        bounds = tuple(float(b) for b in snapshot["bounds"])
-        if bounds != self._bounds:
-            raise ValueError(
-                f"cannot merge histogram with bounds {bounds} into one "
-                f"with bounds {self._bounds}"
-            )
-        counts = [int(c) for c in snapshot["counts"]]
-        if len(counts) != len(self._counts):
-            raise ValueError(
-                f"need {len(self._counts)} bucket counts, got {len(counts)}"
-            )
-        count = int(snapshot["count"])
-        if count == 0:
-            return
-        with self._lock:
-            for index, bucket_count in enumerate(counts):
-                self._counts[index] += bucket_count
-            if self._count == 0:
-                self._min = float(snapshot["min"])
-                self._max = float(snapshot["max"])
-            else:
-                self._min = min(self._min, float(snapshot["min"]))
-                self._max = max(self._max, float(snapshot["max"]))
-            self._count += count
-            self._sum += float(snapshot["sum"])
 
     def __repr__(self) -> str:
         return f"Histogram({self.count} observations, {len(self._bounds)} buckets)"

@@ -100,30 +100,6 @@ class MetricsRegistry:
                 histograms.append(entry)
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` document into this registry.
-
-        The inverse of :meth:`snapshot`: every entry is re-keyed on
-        ``(name, labels)`` through the usual get-or-create path, so
-        merging into an empty registry reproduces the source exactly and
-        merging worker deltas into a shared registry yields exact
-        fleet-wide totals (counters and histogram buckets add under each
-        metric's own lock; gauges adopt the incoming value).  A name
-        already registered as a different metric kind raises the same
-        ``TypeError`` as the get-or-create path.
-        """
-        for entry in snapshot.get("counters", ()):
-            self.counter(entry["name"], entry.get("labels")).merge_snapshot(entry)
-        for entry in snapshot.get("gauges", ()):
-            self.gauge(entry["name"], entry.get("labels")).merge_snapshot(entry)
-        for entry in snapshot.get("histograms", ()):
-            metric = self.histogram(
-                entry["name"],
-                entry.get("labels"),
-                bounds=tuple(entry["bounds"]),
-            )
-            metric.merge_snapshot(entry)
-
     def reset(self) -> None:
         """Zero every registered metric (instances stay registered)."""
         for _, _, metric in self.collect():

@@ -1,10 +1,11 @@
 """Payload codecs: how each artifact type is laid out on disk.
 
 A codec maps a stage's in-memory value to files inside the artifact's
-payload directory and back.  Payloads are ``.npz`` (numeric tables) and
-tagged JSON (everything else) — never pickle.  The manifest records which
-codec wrote the payload, so the store can load any artifact without
-knowing the pipeline that produced it.
+payload directory and back.  Payloads are ``.npz``/``.npy`` arrays
+(numeric tables, tree arrays) and tagged JSON (everything else) — never
+pickle.  The manifest records which codec wrote the payload, so the
+store can load any artifact without knowing the pipeline that produced
+it.
 """
 
 from __future__ import annotations
@@ -109,20 +110,17 @@ class SplitCodec(Codec):
 
 
 class SelectorCodec(Codec):
-    """A deployed selector: tree arrays plus JSON metadata, two layouts.
+    """A deployed selector in the zero-copy ``mapped/`` layout.
 
     Supports the paper's deployable artefact — a decision-tree selector
     (or a degenerate constant selector) over a pruned set.  Other
     estimator families have no array-only representation here and are
     rejected at save time rather than silently mis-serialized.
 
-    ``save`` writes the compact ``tree.npz`` + ``selector.json`` pair
-    and, alongside it, the zero-copy ``mapped/`` layout
-    (:mod:`repro.pipeline.mapped`): uncompressed per-array ``.npy``
-    files with a SHA-256 digest, which shard workers map read-only so
-    every process shares one physical copy of the tree.  ``load``
-    prefers the mapped layout (digest-verified) and falls back to the
-    ``.npz`` pair for artifacts written before it existed.
+    The payload is :mod:`repro.pipeline.mapped`'s layout: uncompressed
+    per-array ``.npy`` files plus SHA-256-digested metadata, which
+    ``load`` maps read-only (digest-verified) so concurrent loaders
+    share one physical copy of the tree.
     """
 
     name = "selector"
@@ -130,49 +128,14 @@ class SelectorCodec(Codec):
     MAPPED_DIR = "mapped"
 
     def save(self, value: Any, directory: Path) -> None:
-        from repro.pipeline.mapped import selector_meta, write_mapped_selector
+        from repro.pipeline.mapped import write_mapped_selector
 
-        meta = selector_meta(value)  # validates the selector family
-        if meta["has_tree"]:
-            tree = value.selector.estimator.tree_
-            np.savez_compressed(
-                directory / "tree.npz",
-                feature=tree.feature,
-                threshold=tree.threshold,
-                left=tree.left,
-                right=tree.right,
-                value=tree.value,
-                impurity=tree.impurity,
-                n_samples=tree.n_samples,
-            )
-        (directory / "selector.json").write_text(dumps(meta))
         write_mapped_selector(value, directory / self.MAPPED_DIR)
 
     def load(self, directory: Path) -> Any:
-        from repro.pipeline.mapped import (
-            MAPPED_META_FILE,
-            load_mapped_selector,
-            rebuild_deployed,
-        )
-        from repro.ml.tree.structure import Tree
+        from repro.pipeline.mapped import load_mapped_selector
 
-        mapped_dir = directory / self.MAPPED_DIR
-        if (mapped_dir / MAPPED_META_FILE).exists():
-            return load_mapped_selector(mapped_dir)
-        meta = loads((directory / "selector.json").read_text())
-        tree = None
-        if meta["has_tree"]:
-            with np.load(directory / "tree.npz") as data:
-                tree = Tree(
-                    feature=data["feature"],
-                    threshold=data["threshold"],
-                    left=data["left"],
-                    right=data["right"],
-                    value=data["value"],
-                    impurity=data["impurity"],
-                    n_samples=data["n_samples"],
-                )
-        return rebuild_deployed(meta, tree)
+        return load_mapped_selector(directory / self.MAPPED_DIR)
 
 
 class ProfileCodec(Codec):

@@ -1,20 +1,15 @@
-"""Zero-copy mapped selector artifacts: one set of bytes, many processes.
+"""Zero-copy mapped selector artifacts: the selector codec's on-disk layout.
 
-The selector codec's ``.npz`` payload must be decompressed into fresh
-arrays by every process that loads it.  The *mapped* layout removes that
-copy: each tree array is written as its own uncompressed ``.npy`` file
-so :func:`load_mapped_selector` can hand the deserialized
+Each tree array is written as its own uncompressed ``.npy`` file, so
+:func:`load_mapped_selector` can hand the deserialized
 :class:`~repro.ml.tree.structure.Tree` views straight off the page
-cache via ``np.load(mmap_mode="r")`` — N shard workers mapping the same
-artifact share one physical copy of the tree.  For callers that want
-the arrays in anonymous shared memory instead of a file mapping,
-:class:`SharedSelectorBlock` packs them into one
-:mod:`multiprocessing.shared_memory` segment.
+cache via ``np.load(mmap_mode="r")`` instead of decompressing fresh
+arrays on every load; concurrent loaders share one physical copy of
+the tree.
 
-Every layout is digest-protected: ``selector_meta.json`` records a
-SHA-256 per array (over the raw element bytes, so the same hash guards
-file- and shared-memory-backed copies) plus a combined digest over the
-canonical metadata.  Loading verifies by default and raises
+The layout is digest-protected: ``selector_meta.json`` records a
+SHA-256 per array (over the raw element bytes) plus a combined digest
+over the canonical metadata.  Loading verifies by default and raises
 :class:`MappedIntegrityError` — never a crash deep inside the tree —
 when any byte disagrees.  Like every pipeline codec this is pure data:
 tagged JSON and ``.npy`` arrays, no pickle.
@@ -23,7 +18,6 @@ tagged JSON and ``.npy`` arrays, no pickle.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -34,8 +28,6 @@ __all__ = [
     "MAPPED_META_FILE",
     "MAPPED_SCHEMA",
     "MappedIntegrityError",
-    "SharedBlockSpec",
-    "SharedSelectorBlock",
     "load_mapped_selector",
     "mapped_digest",
     "read_mapped_meta",
@@ -59,17 +51,6 @@ ARRAY_FIELDS: Tuple[str, ...] = (
 MAPPED_META_FILE = "selector_meta.json"
 MAPPED_SCHEMA = "repro/mapped-selector/v1"
 
-#: Metadata keys shared with the selector codec's ``selector.json``.
-_CORE_KEYS = (
-    "classifier",
-    "pruned",
-    "constant",
-    "n_features_in",
-    "classes",
-    "feature_names",
-    "has_tree",
-)
-
 
 class MappedIntegrityError(RuntimeError):
     """A mapped selector failed its digest / layout integrity check."""
@@ -91,9 +72,9 @@ def _meta_digest(meta: Dict[str, Any]) -> str:
 def selector_meta(deployed: Any) -> Dict[str, Any]:
     """The persistable metadata of a deployed selector (validated).
 
-    Shared between the selector codec and the mapped layout; rejects
-    estimator families without an array-only representation the same
-    way the codec always has.
+    Rejects estimator families without an array-only representation, so
+    the selector codec fails at save time rather than silently
+    mis-serializing.
     """
     selector = deployed.selector
     constant = getattr(selector, "_constant", None)
@@ -130,8 +111,8 @@ def rebuild_deployed(meta: Dict[str, Any], tree: Optional[Any] = None) -> Any:
     """A :class:`~repro.core.deploy.DeployedSelector` from saved metadata.
 
     ``tree`` is the already-deserialized
-    :class:`~repro.ml.tree.structure.Tree` (file-mapped, shared-memory
-    or plain in-memory arrays — the selector does not care).
+    :class:`~repro.ml.tree.structure.Tree` (file-mapped or plain
+    in-memory arrays — the selector does not care).
     """
     from repro.core.deploy import DeployedSelector
     from repro.core.selection.classifiers import make_selector
@@ -218,6 +199,14 @@ def mapped_digest(directory: Path) -> str:
     return str(read_mapped_meta(directory)["digest"])
 
 
+def _check_meta_digest(directory: Path, meta: Dict[str, Any]) -> None:
+    if _meta_digest(meta) != meta["digest"]:
+        raise MappedIntegrityError(
+            f"mapped selector metadata at {directory} fails its digest "
+            "check (metadata was modified after write)"
+        )
+
+
 def _load_arrays(
     directory: Path, meta: Dict[str, Any], *, mmap: bool
 ) -> Dict[str, np.ndarray]:
@@ -265,22 +254,15 @@ def _verify_arrays(
             )
 
 
-def verify_mapped(
-    directory: Path, meta: Optional[Dict[str, Any]] = None
-) -> str:
+def verify_mapped(directory: Path) -> str:
     """Full integrity check of a mapped layout; returns the digest.
 
     Verifies the combined metadata digest and every array's SHA-256.
     Raises :class:`MappedIntegrityError` on the first disagreement.
     """
     directory = Path(directory)
-    if meta is None:
-        meta = read_mapped_meta(directory)
-    if _meta_digest(meta) != meta["digest"]:
-        raise MappedIntegrityError(
-            f"mapped selector metadata at {directory} fails its digest "
-            "check (metadata was modified after write)"
-        )
+    meta = read_mapped_meta(directory)
+    _check_meta_digest(directory, meta)
     if meta.get("has_tree"):
         arrays = _load_arrays(directory, meta, mmap=True)
         _verify_arrays(directory, meta, arrays)
@@ -294,156 +276,20 @@ def load_mapped_selector(
 
     With ``mmap=True`` (the default) the tree arrays are read-only
     views over the page cache — concurrent loaders share one physical
-    copy.  ``verify=True`` runs :func:`verify_mapped` first, so a
-    corrupted artifact surfaces as :class:`MappedIntegrityError` at
+    copy.  ``verify=True`` runs the checks of :func:`verify_mapped` on
+    the loaded arrays, so a corrupted artifact surfaces as :class:`MappedIntegrityError` at
     load time instead of wrong selections later.
     """
     directory = Path(directory)
     meta = read_mapped_meta(directory)
+    if verify:
+        _check_meta_digest(directory, meta)
     tree = None
     if meta.get("has_tree"):
         from repro.ml.tree.structure import Tree
 
         arrays = _load_arrays(directory, meta, mmap=mmap)
         if verify:
-            if _meta_digest(meta) != meta["digest"]:
-                raise MappedIntegrityError(
-                    f"mapped selector metadata at {directory} fails its "
-                    "digest check (metadata was modified after write)"
-                )
             _verify_arrays(directory, meta, arrays)
         tree = Tree(**arrays)
-    elif verify:
-        verify_mapped(directory, meta)
     return rebuild_deployed(meta, tree)
-
-
-# -- shared-memory packing ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SharedBlockSpec:
-    """Everything needed to attach to a :class:`SharedSelectorBlock`.
-
-    Pure primitives (safe to hand to another process over any
-    transport): the shared-memory segment name, each array's placement
-    inside it, the metadata JSON and the combined digest.
-    """
-
-    shm_name: str
-    layout: Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
-    meta_json: str
-    digest: str
-
-
-class SharedSelectorBlock:
-    """Tree arrays packed into one shared-memory segment.
-
-    :meth:`create` copies a mapped layout into a fresh
-    :class:`multiprocessing.shared_memory.SharedMemory` block;
-    :meth:`attach` opens it elsewhere and (by default) re-verifies each
-    array's SHA-256 against the metadata, so shared-memory loads get
-    the same integrity guarantee as file-mapped ones.  The creator must
-    outlive attachers and call :meth:`unlink` when done.
-    """
-
-    def __init__(self, shm: Any, spec: SharedBlockSpec, *, owner: bool):
-        self._shm = shm
-        self.spec = spec
-        self._owner = owner
-
-    @classmethod
-    def create(
-        cls, directory: Path, *, name: Optional[str] = None
-    ) -> "SharedSelectorBlock":
-        from multiprocessing import shared_memory
-
-        directory = Path(directory)
-        meta = read_mapped_meta(directory)
-        verify_mapped(directory, meta)
-        has_tree = bool(meta.get("has_tree"))
-        arrays = _load_arrays(directory, meta, mmap=True) if has_tree else {}
-        layout = []
-        offset = 0
-        for field in ARRAY_FIELDS if has_tree else ():
-            array = arrays[field]
-            offset = (offset + 63) // 64 * 64  # 64-byte align each array
-            layout.append(
-                (field, str(array.dtype), tuple(array.shape), offset)
-            )
-            offset += array.nbytes
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(offset, 1), name=name
-        )
-        for field, dtype, shape, start in layout:
-            view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=start)
-            view[...] = arrays[field]
-        spec = SharedBlockSpec(
-            shm_name=shm.name,
-            layout=tuple(layout),
-            meta_json=(directory / MAPPED_META_FILE).read_text(),
-            digest=str(meta["digest"]),
-        )
-        return cls(shm, spec, owner=True)
-
-    @classmethod
-    def attach(
-        cls, spec: SharedBlockSpec, *, verify: bool = True
-    ) -> "SharedSelectorBlock":
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=spec.shm_name)
-        block = cls(shm, spec, owner=False)
-        if verify:
-            from repro.pipeline.serialize import loads
-
-            meta = loads(spec.meta_json)
-            if _meta_digest(meta) != spec.digest:
-                block.close()
-                raise MappedIntegrityError(
-                    f"shared selector block {spec.shm_name} metadata "
-                    "fails its digest check"
-                )
-            for field, array in block.arrays().items():
-                if _array_sha256(array) != meta["arrays"][field]["sha256"]:
-                    block.close()
-                    raise MappedIntegrityError(
-                        f"shared selector block {spec.shm_name} array "
-                        f"{field!r} fails its SHA-256 check"
-                    )
-        return block
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """Read-only array views over the shared segment."""
-        out: Dict[str, np.ndarray] = {}
-        for field, dtype, shape, offset in self.spec.layout:
-            view = np.ndarray(
-                shape, dtype=dtype, buffer=self._shm.buf, offset=offset
-            )
-            view.flags.writeable = False
-            out[field] = view
-        return out
-
-    def deployed(self) -> Any:
-        """A DeployedSelector whose tree lives in the shared segment."""
-        from repro.pipeline.serialize import loads
-        from repro.ml.tree.structure import Tree
-
-        meta = loads(self.spec.meta_json)
-        tree = Tree(**self.arrays()) if meta.get("has_tree") else None
-        return rebuild_deployed(meta, tree)
-
-    def close(self) -> None:
-        self._shm.close()
-
-    def unlink(self) -> None:
-        if self._owner:
-            self._shm.unlink()
-
-    def __enter__(self) -> "SharedSelectorBlock":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-        if self._owner:
-            self.unlink()

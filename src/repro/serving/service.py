@@ -66,9 +66,7 @@ class SelectionService:
     :data:`~repro.obs.NULL_REGISTRY` to disable instrumentation, which
     also empties :meth:`stats`).  ``name`` labels every metric with
     ``service=<name>`` so many services — e.g. one per fleet device —
-    can share a registry without colliding.  ``latency_window`` is kept
-    for back-compat and validated, but latency is now histogram-backed
-    and cumulative rather than windowed.
+    can share a registry without colliding.
 
     ``fallback`` is the configuration served when the policy raises and
     no last-known-good answer exists yet (a production deployment passes
@@ -91,7 +89,6 @@ class SelectionService:
         policy,
         *,
         capacity: int = 4096,
-        latency_window: int = 2048,
         fallback: Optional[KernelConfig] = None,
         breaker_threshold: int = 5,
         breaker_probe_interval: int = 8,
@@ -103,8 +100,6 @@ class SelectionService:
             raise TypeError(f"policy {policy!r} has no select(shape) method")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if latency_window < 1:
-            raise ValueError(f"latency_window must be >= 1, got {latency_window}")
         if breaker_threshold < 1:
             raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
         if breaker_probe_interval < 1:

@@ -1,9 +1,8 @@
 """Shared fixtures: one small tuned selector, written once per session.
 
-Tuning even a reduced sweep costs ~a second, and every shard test needs
-the same deployable artefact — so the selector and its mapped layout
-are session-scoped and the per-test fleets are built from the mapped
-directory (exactly how production workers consume it).
+Tuning even a reduced sweep costs ~a second, and every mapped-layout
+test needs the same deployable artefact — so the selector and its
+mapped layout are session-scoped.
 """
 
 import pytest

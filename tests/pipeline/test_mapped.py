@@ -7,7 +7,6 @@ from repro.core.deploy import DeployedSelector
 from repro.pipeline.mapped import (
     MAPPED_META_FILE,
     MappedIntegrityError,
-    SharedSelectorBlock,
     load_mapped_selector,
     mapped_digest,
     read_mapped_meta,
@@ -142,43 +141,25 @@ class TestSelectorCodecIntegration:
             shape_pool
         )
 
-    def test_codec_falls_back_to_npz_for_legacy_payloads(
-        self, tiny_deployed, tmp_path, shape_pool
+    def test_payload_without_mapped_layout_is_a_payload_error(
+        self, tiny_deployed, tmp_path
     ):
         import shutil
 
-        from repro.pipeline.codecs import get_codec
+        from repro.pipeline.artifact import Provenance
+        from repro.pipeline.store import ArtifactPayloadError, ArtifactStore
 
-        codec = get_codec("selector")
-        directory = tmp_path / "payload"
-        directory.mkdir()
-        codec.save(tiny_deployed, directory)
-        shutil.rmtree(directory / "mapped")  # pre-mapped-era artifact
-        loaded = codec.load(directory)
-        assert loaded.select_batch(shape_pool) == tiny_deployed.select_batch(
-            shape_pool
+        store = ArtifactStore(tmp_path / "store")
+        provenance = Provenance(
+            stage="train",
+            fingerprint="e" * 64,
+            code_version="test",
+            params={},
+            parents={},
+            codec="selector",
         )
-
-
-class TestSharedSelectorBlock:
-    def test_shared_memory_round_trip(self, mapped_dir, shape_pool):
-        with SharedSelectorBlock.create(mapped_dir) as block:
-            attached = SharedSelectorBlock.attach(block.spec)
-            try:
-                deployed = attached.deployed()
-                reference = load_mapped_selector(mapped_dir)
-                assert deployed.select_batch(
-                    shape_pool[:64]
-                ) == reference.select_batch(shape_pool[:64])
-            finally:
-                attached.close()
-
-    def test_tampered_segment_fails_attach_verification(self, mapped_dir):
-        with SharedSelectorBlock.create(mapped_dir) as block:
-            field, dtype, shape, offset = block.spec.layout[1]  # threshold
-            view = np.ndarray(
-                shape, dtype=dtype, buffer=block._shm.buf, offset=offset
-            )
-            view[0] += 1.0
-            with pytest.raises(MappedIntegrityError, match="SHA-256"):
-                SharedSelectorBlock.attach(block.spec)
+        store.put(tiny_deployed, provenance)
+        payload = store.root / "objects" / provenance.fingerprint / "payload"
+        shutil.rmtree(payload / "mapped")
+        with pytest.raises(ArtifactPayloadError, match="train:eeeeeeeeeeee"):
+            store.get(provenance.fingerprint)

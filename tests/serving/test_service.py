@@ -144,8 +144,6 @@ class TestEvictionAndLifecycle:
     def test_invalid_arguments(self, fitted_selector):
         with pytest.raises(ValueError):
             SelectionService(fitted_selector, capacity=0)
-        with pytest.raises(ValueError):
-            SelectionService(fitted_selector, latency_window=0)
         with pytest.raises(TypeError):
             SelectionService(object())
 
