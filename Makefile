@@ -64,7 +64,7 @@ bench-smoke:
 		benchmarks/test_bench_onboard.py benchmarks/test_bench_placement.py \
 		-q -p no:randomly --benchmark-json=bench-results.json
 	PYTHONPATH=src python -m repro.cli loadgen run \
-		--qps 40000 --duration 5 --workers 4 --compiled \
+		--qps 40000 --duration 5 --workers 4 \
 		--min-qps 10000 --report-json loadgen-report.json
 	PYTHONPATH=src python -m repro.cli loadgen run \
 		--adaptive --no-pace --qps 4000 --duration 3 --workers 4 \

@@ -8,10 +8,9 @@ These benchmarks gate that claim in CI:
   :class:`SelectionService.select` (itself already a lock-free dict
   hit), measured over the same Zipf-ordered query replay;
 * its p99 per-lookup latency, sampled with ``perf_counter_ns`` around
-  individual calls, must stay under one microsecond;
-* both codegen variants must agree with the deployed selector on every
-  query (the differential suite pins this exhaustively; the bench
-  re-checks the replay it times).
+  individual calls, must stay under one microsecond, and it must agree
+  with the deployed selector's NumPy ``select_batch`` on every query of
+  the replay it times (the differential suite pins this exhaustively).
 """
 
 import gc
@@ -24,10 +23,8 @@ from repro.core.deploy import tune
 from repro.serving import SelectionService
 
 N_QUERIES = 10_000
-#: Per-variant p99 ceilings.  The sub-microsecond claim is about the
-#: default ``source`` hot path; ``flat`` trades ~2x dispatch cost for
-#: unbounded depth and gets a looser bound.
-P99_CEILING_NS = {"source": 1_000, "flat": 3_000}
+#: p99 ceiling of one compiled lookup: the sub-microsecond claim.
+P99_CEILING_NS = 1_000
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +85,8 @@ def test_bench_compiled_speedup_over_warm_service(
     )
 
 
-@pytest.mark.parametrize("variant", ["source", "flat"])
-def test_bench_compiled_p99_within_ceiling(
-    benchmark, deployed, query_shapes, variant
-):
-    """p99 of compiled lookups under the per-variant ceiling (GC parked).
+def test_bench_compiled_p99_within_ceiling(benchmark, deployed, query_shapes):
+    """p99 of compiled lookups under the ceiling (GC parked), same answers.
 
     Sampled in blocks of 16 calls per timer read — a perf_counter_ns
     pair costs ~100 ns, which would dominate a per-call sample at this
@@ -100,7 +94,10 @@ def test_bench_compiled_p99_within_ceiling(
     scheduler preemption (tens of us at a time on shared CI boxes) out
     of a distribution whose real values are hundreds of ns.
     """
-    compiled = deployed.compiled(variant=variant)
+    compiled = deployed.compiled()
+    assert compiled.select_batch(query_shapes) == deployed.select_batch(
+        query_shapes
+    )
     select = compiled.select
     for shape in query_shapes[:1000]:  # warm caches and the code object
         select(shape)
@@ -133,15 +130,6 @@ def test_bench_compiled_p99_within_ceiling(
     benchmark.pedantic(replay, rounds=3, iterations=1)
     benchmark.extra_info["p50_ns"] = p50
     benchmark.extra_info["p99_ns"] = p99
-    ceiling = P99_CEILING_NS[variant]
-    assert p99 < ceiling, (
-        f"{variant} variant p99 {p99} ns >= {ceiling} ns (p50 {p50} ns)"
+    assert p99 < P99_CEILING_NS, (
+        f"compiled p99 {p99} ns >= {P99_CEILING_NS} ns (p50 {p50} ns)"
     )
-
-
-def test_bench_variants_agree_on_the_replay(deployed, query_shapes):
-    source = deployed.compiled(variant="source")
-    flat = deployed.compiled(variant="flat")
-    expected = deployed.select_batch(query_shapes)
-    assert source.select_batch(query_shapes) == expected
-    assert flat.select_batch(query_shapes) == expected

@@ -444,15 +444,14 @@ def _cmd_loadgen(args) -> int:
             print(f"ERROR: no artifact {artifact_id!r}", file=sys.stderr)
             return 1
         policy = artifact.value
-        if args.compiled:
-            if not hasattr(policy, "compiled"):
-                print(
-                    f"ERROR: artifact policy {type(policy).__name__} has no "
-                    "compiled() hot path (need a DeployedSelector)",
-                    file=sys.stderr,
-                )
-                return 1
-            policy = policy.compiled()
+        if not hasattr(policy, "compiled"):
+            print(
+                f"ERROR: artifact policy {type(policy).__name__} has no "
+                "compiled() hot path (need a DeployedSelector)",
+                file=sys.stderr,
+            )
+            return 1
+        policy = policy.compiled()
         router = FleetRouter(default_policy=args.policy, registry=registry)
         for i in range(args.replicas):
             router.add_device(
@@ -473,7 +472,6 @@ def _cmd_loadgen(args) -> int:
             cache_capacity=args.cache_capacity,
             budget=args.budget,
             seed=args.seed,
-            compiled=args.compiled,
         ).router
 
     config = _loadgen_config(args)
@@ -501,12 +499,7 @@ def _cmd_loadgen(args) -> int:
         )
     else:
         report = run_load(router, config, registry=registry)
-    if args.adaptive:
-        policy_name = "adaptive drift"
-    elif args.compiled:
-        policy_name = "compiled"
-    else:
-        policy_name = "tree-walk"
+    policy_name = "adaptive drift" if args.adaptive else "compiled"
     print(
         f"loadgen: {args.replicas} replicas "
         f"({policy_name} policy), "
@@ -1504,11 +1497,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="round-robin",
         choices=("round-robin", "least-outstanding"),
         help="routing policy across the replicas",
-    )
-    p.add_argument(
-        "--compiled",
-        action="store_true",
-        help="front each replica with the compiled selector hot path",
     )
     p.add_argument("--budget", type=int, default=4, help="pruned config count")
     p.add_argument(

@@ -44,8 +44,7 @@ class CompiledSelector:
     """The selection process compiled to a sub-microsecond hot path.
 
     Built by :meth:`DeployedSelector.compiled`: the fitted decision
-    tree is compiled into a scalar descent callable (generated
-    nested-``if`` source or branchless flat-array, see
+    tree is compiled into generated nested-``if`` Python (see
     :mod:`repro.ml.tree.codegen`) and each leaf is pre-resolved to the
     :class:`~repro.kernels.params.KernelConfig` it selects, so one
     lookup is a function call plus a list index — no NumPy, no
@@ -89,32 +88,23 @@ class CompiledSelector:
         self.select = select
 
     @property
-    def variant(self) -> str:
-        """Which codegen variant answers lookups (``source``/``flat``)."""
-        return self.compiled_tree.variant
-
-    @property
-    def source(self) -> Optional[str]:
-        """The generated Python source (``source`` variant only)."""
+    def source(self) -> str:
+        """The generated Python source of the descent."""
         return self.compiled_tree.source
 
     def select_batch(
         self, shapes: Sequence[GemmShape]
     ) -> Tuple[KernelConfig, ...]:
-        """Configurations for many shapes (a scalar loop).
+        """Configurations for many shapes (a loop of compiled lookups).
 
-        The compiled path is tuned for single lookups; large batches
-        should prefer :meth:`DeployedSelector.select_batch`, which is
-        vectorized.
+        Faster per shape than the vectorized NumPy
+        :meth:`DeployedSelector.select_batch` at every batch size.
         """
         select = self.select
         return tuple(select(shape) for shape in shapes)
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledSelector({self.compiled_tree.variant!r}, "
-            f"{len(self._leaf_configs)} leaf slots)"
-        )
+        return f"CompiledSelector({len(self._leaf_configs)} leaf slots)"
 
 
 class DeployedSelector:
@@ -241,20 +231,19 @@ class DeployedSelector:
             return_type="const char*",
         )
 
-    def compiled(self, *, variant: str = "source") -> CompiledSelector:
+    def compiled(self) -> CompiledSelector:
         """This selector compiled for the sub-microsecond hot path.
 
-        The fitted tree is compiled via
-        :func:`repro.ml.tree.codegen.compile_tree` (``variant`` is
-        ``"source"`` for generated nested-``if`` Python or ``"flat"``
-        for the branchless flat-array descent) and every leaf is
+        The fitted tree is compiled into nested-``if`` Python via
+        :func:`repro.ml.tree.codegen.compile_tree` and every leaf is
         pre-resolved to its :class:`~repro.kernels.params.KernelConfig`.
         The returned :class:`CompiledSelector` makes decisions identical
-        to :meth:`select`, roughly an order of magnitude faster.
+        to :meth:`select`, roughly two orders of magnitude faster.
 
         Requires a fitted decision-tree selector (like the source
         exporters); a degenerate constant selector compiles to a
-        single-leaf tree.
+        single-leaf tree.  A tree deeper than ``MAX_SOURCE_DEPTH``
+        raises ``ValueError``; :meth:`select` still serves it.
         """
         from repro.ml.tree.codegen import compile_tree
         from repro.ml.tree.structure import LEAF, Tree as _Tree
@@ -274,12 +263,10 @@ class DeployedSelector:
                 impurity=np.zeros(1),
                 n_samples=np.ones(1, dtype=np.int64),
             )
-            compiled_tree = compile_tree(
-                one_leaf, variant=variant, feature_names=names
-            )
+            compiled_tree = compile_tree(one_leaf, feature_names=names)
             return CompiledSelector(compiled_tree, (configs[int(constant)],))
         tree = self._tree()
-        compiled_tree = compile_tree(tree, variant=variant, feature_names=names)
+        compiled_tree = compile_tree(tree, feature_names=names)
         # Pre-resolve each leaf to its configuration: argmax over the
         # leaf's class distribution, through the training classes to a
         # position in the pruned set — exactly the classifier's predict.

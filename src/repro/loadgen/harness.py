@@ -302,18 +302,15 @@ def synthetic_fleet(
     cache_capacity: int = 4096,
     budget: int = 4,
     seed: int = 0,
-    compiled: bool = False,
     adaptive: Optional["AdaptiveConfig"] = None,
 ) -> SyntheticFleet:
     """A self-contained fleet for load runs: N replicas of one selector.
 
     Builds a :func:`synthetic_deployed` selector and fronts it with
     ``replicas`` identical :class:`~repro.serving.SelectionService`
-    instances named ``dev0..devN-1`` behind one router.  With
-    ``compiled=True`` each service fronts the selector's
-    :meth:`~repro.core.deploy.DeployedSelector.compiled` hot path
-    instead of the NumPy tree walk.  With ``adaptive=`` each service is
-    wrapped in an
+    instances named ``dev0..devN-1`` behind one router, each fronting
+    the selector's :meth:`~repro.core.deploy.DeployedSelector.compiled`
+    hot path.  With ``adaptive=`` each service is wrapped in an
     :class:`~repro.serving.adaptive.AdaptiveSelectionService` carrying
     that config (each replica adapts independently).
     """
@@ -323,7 +320,7 @@ def synthetic_fleet(
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     registry = registry if registry is not None else MetricsRegistry()
     deployed = synthetic_deployed(budget=budget, seed=seed)
-    policy = deployed.compiled() if compiled else deployed
+    policy = deployed.compiled()
     fallback = deployed.library.configs[0]
     router = FleetRouter(default_policy=routing_policy, registry=registry)
     services: Dict[str, object] = {}

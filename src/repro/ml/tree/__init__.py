@@ -18,15 +18,9 @@ from repro.ml.tree.structure import Tree
 from repro.ml.tree.classifier import DecisionTreeClassifier
 from repro.ml.tree.regressor import DecisionTreeRegressor
 from repro.ml.tree.export import export_cpp, export_python, export_text
-from repro.ml.tree.codegen import (
-    COMPILE_VARIANTS,
-    CompiledTree,
-    compile_tree,
-    tree_apply_source,
-)
+from repro.ml.tree.codegen import CompiledTree, compile_tree, tree_apply_source
 
 __all__ = [
-    "COMPILE_VARIANTS",
     "CompiledTree",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",

@@ -3,24 +3,15 @@
 The paper's deployment argument is that a decision tree "compiles to
 nested if statements" with negligible dispatch overhead.  This module
 takes that literally for the in-process hot path: a fitted
-:class:`~repro.ml.tree.structure.Tree` is compiled into a plain Python
-callable that descends the tree for *one* sample with no NumPy, no
-allocation and no attribute lookups on the way down.  Two variants are
-provided, both bit-identical to :meth:`Tree.apply_loop`:
+:class:`~repro.ml.tree.structure.Tree` is emitted as nested-``if``
+Python source (every leaf a ``return <node_id>``), then
+``compile()``/``exec``'d into a plain function that descends the tree
+for *one* sample: one call, a handful of float comparisons, one return.
 
-* ``source`` — the tree is emitted as nested-``if`` Python source
-  (every leaf a ``return <node_id>``), then ``compile()``/``exec``'d
-  into a real function.  This is the generated-code path the paper
-  describes, and the fastest: one function call, a handful of float
-  comparisons, one return.
-* ``flat``   — a branchless descent over flat Python lists: each step
-  computes ``children[2 * node + (1 - (x <= threshold))]`` so there is
-  no per-node branch at all, only index arithmetic.  Depth is unbounded
-  (the source variant is capped by CPython's nesting limit).
-
-Comparisons are the same ``x <= threshold`` as the scalar reference
-walk; a NaN feature fails the comparison and descends right in both
-variants, exactly like :meth:`Tree.apply_loop`.
+Comparisons are the same ``x <= threshold`` as the reference walk
+:meth:`Tree.decision_path_nodes`, so a NaN feature descends right in
+both.  :func:`repro.ml.tree.export.export_python` shares the emitter,
+with class labels instead of node ids at the leaves.
 """
 
 from __future__ import annotations
@@ -32,19 +23,16 @@ import numpy as np
 from repro.ml.tree.structure import LEAF, Tree
 
 __all__ = [
-    "COMPILE_VARIANTS",
     "CompiledTree",
     "MAX_SOURCE_DEPTH",
     "compile_tree",
     "tree_apply_source",
 ]
 
-#: Supported :func:`compile_tree` variants.
-COMPILE_VARIANTS: Tuple[str, ...] = ("source", "flat")
-
-#: Deepest tree the ``source`` variant will emit.  CPython's tokenizer
-#: rejects more than 100 indentation levels; trees beyond this should
-#: use the depth-unbounded ``flat`` variant.
+#: Deepest tree the nested-``if`` emitter will write.  CPython's
+#: tokenizer rejects more than 100 indentation levels; deeper trees are
+#: served by the NumPy descent of ``DeployedSelector.select`` and
+#: ``select_batch`` instead.
 MAX_SOURCE_DEPTH = 90
 
 
@@ -75,21 +63,18 @@ def _feature_arg_names(
     return feature_names
 
 
-def tree_apply_source(
+def _nested_if_source(
     tree: Tree,
-    *,
-    function_name: str = "tree_apply",
-    feature_names: Optional[Sequence[str]] = None,
+    function_name: str,
+    feature_names: Optional[Sequence[str]],
+    leaf: Callable[[int], str],
 ) -> str:
-    """Nested-``if`` Python source descending ``tree`` for one sample.
+    """Python source of one function descending ``tree`` as nested ifs.
 
-    The generated function takes one scalar argument per feature and
-    returns the *leaf node index* the sample lands in — the same value
-    :meth:`Tree.apply_loop` computes — so callers can layer any
-    per-leaf payload (class, config, pointer) on top with one list
-    index.  Thresholds are emitted with ``repr`` and round-trip
-    exactly, keeping every comparison bit-identical to the reference
-    walk.
+    ``leaf(node)`` is the expression a leaf returns.  Thresholds are
+    emitted with ``repr`` and round-trip exactly.  Non-identifier names
+    and trees too deep for CPython's parser are rejected, so the
+    emitted text always compiles.
     """
     if not function_name.isidentifier():
         raise ValueError(f"function name {function_name!r} is not an identifier")
@@ -98,17 +83,15 @@ def tree_apply_source(
     if depth_cap > MAX_SOURCE_DEPTH:
         raise ValueError(
             f"tree depth {depth_cap} exceeds the nested-if source limit "
-            f"({MAX_SOURCE_DEPTH}); use compile_tree(..., variant='flat')"
+            f"(MAX_SOURCE_DEPTH = {MAX_SOURCE_DEPTH}); serve it through "
+            "the NumPy DeployedSelector.select/select_batch instead"
         )
     lines: List[str] = [f"def {function_name}({', '.join(names)}):"]
-    if tree.node_count == 0:
-        lines.append("    return 0")
-        return "\n".join(lines) + "\n"
 
     def walk(node: int, depth: int) -> None:
         indent = "    " * depth
         if tree.feature[node] == LEAF:
-            lines.append(f"{indent}return {node}")
+            lines.append(f"{indent}return {leaf(node)}")
             return
         f, t = int(tree.feature[node]), float(tree.threshold[node])
         lines.append(f"{indent}if {names[f]} <= {t!r}:")
@@ -120,39 +103,21 @@ def tree_apply_source(
     return "\n".join(lines) + "\n"
 
 
-def _compile_source(source: str, function_name: str) -> Callable[..., int]:
-    namespace: dict = {}
-    code = compile(source, "<repro.ml.tree.codegen>", "exec")
-    exec(code, namespace)  # noqa: S102 - our own emitted source
-    return namespace[function_name]
+def tree_apply_source(
+    tree: Tree,
+    *,
+    function_name: str = "tree_apply",
+    feature_names: Optional[Sequence[str]] = None,
+) -> str:
+    """Nested-``if`` Python source descending ``tree`` for one sample.
 
-
-def _flat_apply_fn(tree: Tree) -> Callable[..., int]:
-    """Branchless flat-array descent closure for one sample.
-
-    The hot loop touches only three local lists; left/right are packed
-    into one children list so the comparison result indexes directly:
-    ``1 - (x <= t)`` is 0 for the left branch and 1 for the right, and
-    (like the reference walk's ``else``) sends NaN right.
+    The generated function takes one scalar argument per feature and
+    returns the *leaf node index* the sample lands in — the last node of
+    :meth:`Tree.decision_path_nodes` — so callers can layer any
+    per-leaf payload (class, config, pointer) on top with one list
+    index.
     """
-    feature = [int(f) for f in tree.feature]
-    threshold = [float(t) for t in tree.threshold]
-    children: List[int] = []
-    for left, right in zip(tree.left, tree.right):
-        children.append(int(left))
-        children.append(int(right))
-    if not feature:
-        feature, threshold, children = [LEAF], [0.0], [0, 0]
-
-    def apply_one(*x: float) -> int:
-        node = 0
-        f = feature[0]
-        while f >= 0:
-            node = children[2 * node + 1 - (x[f] <= threshold[node])]
-            f = feature[node]
-        return node
-
-    return apply_one
+    return _nested_if_source(tree, function_name, feature_names, str)
 
 
 class CompiledTree:
@@ -160,22 +125,20 @@ class CompiledTree:
 
     ``apply_one`` is a plain function attribute (grab it once on the
     hot path): called with one scalar per feature, it returns the leaf
-    node index, bit-identical to :meth:`Tree.apply_loop` on the same
-    (float64) inputs.  :meth:`apply` is the array convenience used by
-    the differential tests.
+    node index the reference walk reaches on the same (float64) inputs.
+    :meth:`apply` is the array convenience used by the differential
+    tests.
     """
 
-    __slots__ = ("variant", "source", "feature_names", "apply_one", "node_count")
+    __slots__ = ("source", "feature_names", "apply_one", "node_count")
 
     def __init__(
         self,
-        variant: str,
         apply_one: Callable[..., int],
         feature_names: Tuple[str, ...],
         node_count: int,
-        source: Optional[str] = None,
+        source: str,
     ):
-        self.variant = variant
         self.apply_one = apply_one
         self.feature_names = feature_names
         self.node_count = node_count
@@ -185,7 +148,7 @@ class CompiledTree:
         """Leaf index per row, via the compiled scalar descent.
 
         Rows are converted to float64 first (exactly like the reference
-        walk), so results match :meth:`Tree.apply_loop` bit for bit.
+        walk), so results match it bit for bit.
         """
         X = np.asarray(X, dtype=np.float64)
         X = np.atleast_2d(X)
@@ -201,34 +164,25 @@ class CompiledTree:
 
     def __repr__(self) -> str:
         return (
-            f"CompiledTree(variant={self.variant!r}, "
-            f"{self.node_count} nodes, features {list(self.feature_names)})"
+            f"CompiledTree({self.node_count} nodes, "
+            f"features {list(self.feature_names)})"
         )
 
 
 def compile_tree(
     tree: Tree,
     *,
-    variant: str = "source",
     feature_names: Optional[Sequence[str]] = None,
     function_name: str = "tree_apply",
 ) -> CompiledTree:
-    """Compile a fitted tree into a :class:`CompiledTree`.
+    """Compile :func:`tree_apply_source` into a :class:`CompiledTree`.
 
-    ``variant`` is ``"source"`` (generated nested-``if`` Python, the
-    fastest) or ``"flat"`` (branchless flat-array descent, unbounded
-    depth).  Both return leaf node indices bit-identical to
-    :meth:`Tree.apply_loop`.
+    Trees deeper than :data:`MAX_SOURCE_DEPTH` raise ``ValueError``.
     """
-    if variant not in COMPILE_VARIANTS:
-        raise ValueError(
-            f"unknown codegen variant {variant!r}; known: {list(COMPILE_VARIANTS)}"
-        )
     names = _feature_arg_names(tree, feature_names)
-    if variant == "source":
-        source = tree_apply_source(
-            tree, function_name=function_name, feature_names=names
-        )
-        fn = _compile_source(source, function_name)
-        return CompiledTree("source", fn, names, tree.node_count, source=source)
-    return CompiledTree("flat", _flat_apply_fn(tree), names, tree.node_count)
+    source = tree_apply_source(
+        tree, function_name=function_name, feature_names=names
+    )
+    namespace: dict = {}
+    exec(compile(source, "<repro.ml.tree.codegen>", "exec"), namespace)  # noqa: S102
+    return CompiledTree(namespace[function_name], names, tree.node_count, source)

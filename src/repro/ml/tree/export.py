@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.ml.tree.codegen import _nested_if_source
 from repro.ml.tree.structure import LEAF, Tree
 
 __all__ = ["export_cpp", "export_python", "export_text"]
@@ -67,27 +68,16 @@ def export_python(
     """Standalone Python function implementing the tree as nested ifs.
 
     Leaf results are the argmax class (by index or ``class_names`` entry);
-    the generated function takes the feature values as arguments.
+    the generated function takes the feature values as arguments.  The
+    emitter is the one :func:`repro.ml.tree.codegen.tree_apply_source`
+    uses, so invalid names and over-deep trees raise ``ValueError``.
     """
-    n_features = int(tree.feature.max(initial=0)) + 1
-    if feature_names is None:
-        feature_names = [f"x{i}" for i in range(n_features)]
-    args = ", ".join(feature_names)
-    lines = [f"def {function_name}({args}):"]
-
-    def walk(node: int, depth: int) -> None:
-        indent = "    " * depth
-        if tree.feature[node] == LEAF:
-            lines.append(f"{indent}return {_leaf_label(tree, node, class_names)!r}")
-            return
-        f, t = int(tree.feature[node]), float(tree.threshold[node])
-        lines.append(f"{indent}if {feature_names[f]} <= {t!r}:")
-        walk(int(tree.left[node]), depth + 1)
-        lines.append(f"{indent}else:")
-        walk(int(tree.right[node]), depth + 1)
-
-    walk(0, 1)
-    return "\n".join(lines) + "\n"
+    return _nested_if_source(
+        tree,
+        function_name,
+        feature_names,
+        lambda node: repr(_leaf_label(tree, node, class_names)),
+    )
 
 
 def export_cpp(
@@ -109,15 +99,10 @@ def export_cpp(
     params = ", ".join(f"double {name}" for name in feature_names)
     lines = [f"{return_type} {function_name}({params}) {{"]
 
-    def leaf_expr(node: int) -> str:
-        value = tree.value[node]
-        winner = int(np.argmax(value))
-        return str(class_names[winner]) if class_names is not None else str(winner)
-
     def walk(node: int, depth: int) -> None:
         indent = "  " * depth
         if tree.feature[node] == LEAF:
-            lines.append(f"{indent}return {leaf_expr(node)};")
+            lines.append(f"{indent}return {_leaf_label(tree, node, class_names)};")
             return
         f, t = int(tree.feature[node]), float(tree.threshold[node])
         lines.append(f"{indent}if ({feature_names[f]} <= {t!r}) {{")

@@ -65,7 +65,7 @@ class Tree:
         ``left``/``right`` arrays, so a batch of n samples costs
         O(max_depth) NumPy passes instead of n Python tree walks.  The
         comparisons are the same ``x <= threshold`` as the scalar walk, so
-        results are bit-identical to :meth:`apply_loop`.
+        each result is the last node of :meth:`decision_path_nodes`.
         """
         X = np.asarray(X, dtype=np.float64)
         n = X.shape[0]
@@ -80,25 +80,6 @@ class Tree:
             nodes[active] = np.where(go_left, self.left[cur], self.right[cur])
             active = active[self.feature[nodes[active]] != LEAF]
         return nodes
-
-    def apply_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference scalar descent (one Python walk per sample).
-
-        Kept as the ground truth the vectorized :meth:`apply` is tested
-        against; prefer :meth:`apply` everywhere else.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            node = 0
-            while self.feature[node] != LEAF:
-                if X[i, self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = node
-        return out
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         """Per-sample node values (class distribution or regression mean)."""

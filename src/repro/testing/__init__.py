@@ -23,6 +23,7 @@ from repro.testing.oracles import (
     queue_equivalence_oracle,
     random_shapes,
     random_tree,
+    reference_leaves,
     tree_apply_oracle,
 )
 from repro.testing.plan import FaultKind, FaultPlan, InjectedFault, raise_fault
@@ -45,5 +46,6 @@ __all__ = [
     "raise_fault",
     "random_shapes",
     "random_tree",
+    "reference_leaves",
     "tree_apply_oracle",
 ]

@@ -5,10 +5,11 @@ asserts that an optimised implementation agrees exactly with its
 reference:
 
 * :func:`tree_apply_oracle` — the vectorized
-  :meth:`~repro.ml.tree.structure.Tree.apply` against the scalar
-  :meth:`~repro.ml.tree.structure.Tree.apply_loop`, over random trees
-  (including degenerate single-leaf ones) and inputs engineered to hit
-  threshold ties;
+  :meth:`~repro.ml.tree.structure.Tree.apply` against
+  :func:`reference_leaves`, the scalar walk every tree descent (NumPy
+  and compiled) is tested against, over random trees (including
+  degenerate single-leaf ones) and inputs engineered to hit threshold
+  ties;
 * :func:`batch_select_oracle` — a policy's ``select_batch`` against the
   per-item ``select`` loop, over random GEMM shapes with repeats;
 * :func:`queue_equivalence_oracle` — a fault-free
@@ -44,6 +45,7 @@ __all__ = [
     "queue_equivalence_oracle",
     "random_shapes",
     "random_tree",
+    "reference_leaves",
     "tree_apply_oracle",
 ]
 
@@ -135,8 +137,22 @@ def random_shapes(
 # -- oracles ----------------------------------------------------------------
 
 
+def reference_leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf index per row by the scalar reference walk.
+
+    Each row descends one node at a time through
+    :meth:`~repro.ml.tree.structure.Tree.decision_path_nodes` (float64,
+    ``x <= threshold`` goes left, NaN goes right); the leaf is the
+    path's last node.  The ground truth for every fast descent.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    return np.fromiter(
+        (tree.decision_path_nodes(x)[-1] for x in X), dtype=np.int64, count=len(X)
+    )
+
+
 def tree_apply_oracle(*, cases: int = 200, seed: int = 0) -> OracleReport:
-    """``Tree.apply`` == ``Tree.apply_loop`` on random trees and inputs."""
+    """``Tree.apply`` == :func:`reference_leaves` on random trees and inputs."""
     rng = stream(seed, "oracle", "tree-apply")
     mismatches: List[str] = []
     for case in range(cases):
@@ -151,11 +167,11 @@ def tree_apply_oracle(*, cases: int = 200, seed: int = 0) -> OracleReport:
         on_grid = rng.random((n, 4)) < 0.5
         X = np.where(on_grid, grid, X)
         fast = tree.apply(X)
-        slow = tree.apply_loop(X)
+        slow = reference_leaves(tree, X)
         if not np.array_equal(fast, slow):
             mismatches.append(
                 f"case {case}: tree with {tree.node_count} nodes, "
-                f"{n} samples: apply != apply_loop"
+                f"{n} samples: apply != reference_leaves"
             )
     return OracleReport("tree-apply", cases, tuple(mismatches))
 

@@ -33,7 +33,6 @@ class TestLoadgenRun:
         code = main(
             base_args
             + [
-                "--compiled",
                 "--report-json",
                 str(report_path),
                 "--obs-export",
@@ -55,7 +54,6 @@ class TestLoadgenRun:
         assert meta["schema"].startswith("repro.loadgen-report/")
         assert meta["git_sha"] is None or len(meta["git_sha"]) == 40
         assert meta["config"]["qps"] == 400.0
-        assert meta["config"]["compiled"] is True
         assert meta["command"] == "repro loadgen run"
 
         obs = json.loads(obs_path.read_text())

@@ -13,6 +13,7 @@ from repro.ml.tree import (
 )
 from repro.ml.tree.criteria import GiniCriterion, MSECriterion
 from repro.ml.tree.splitter import find_best_split
+from repro.testing import reference_leaves
 
 
 class TestGiniCriterion:
@@ -108,7 +109,7 @@ class TestApplyVectorized:
     def test_bit_identical_to_loop_on_random_inputs(self, rng):
         tree, X_train = self._fitted_tree(rng)
         for X in (X_train, rng.normal(size=(500, 5)), rng.normal(size=(1, 5))):
-            np.testing.assert_array_equal(tree.apply(X), tree.apply_loop(X))
+            np.testing.assert_array_equal(tree.apply(X), reference_leaves(tree, X))
 
     def test_bit_identical_at_thresholds(self, rng):
         # Samples exactly on split thresholds exercise the <= boundary.
@@ -119,7 +120,7 @@ class TestApplyVectorized:
         X = np.zeros((int(internal.sum()), 5))
         for row, node in enumerate(np.nonzero(internal)[0]):
             X[row, tree.feature[node]] = tree.threshold[node]
-        np.testing.assert_array_equal(tree.apply(X), tree.apply_loop(X))
+        np.testing.assert_array_equal(tree.apply(X), reference_leaves(tree, X))
 
     def test_empty_batch(self, rng):
         tree, _ = self._fitted_tree(rng)

@@ -1,23 +1,27 @@
 """Differential suite: compiled tree descent vs the reference walk.
 
-Both codegen variants (generated nested-``if`` source and branchless
-flat-array) must return leaf indices bit-identical to
-``Tree.apply_loop`` for *any* fitted tree and *any* float64 input —
-including samples landing exactly on split thresholds, negative and
-astronomically large dims, and NaNs (which descend right, like the
-reference walk's ``else`` branch).
+The generated nested-``if`` descent must return leaf indices
+bit-identical to ``repro.testing.reference_leaves`` for *any* fitted
+tree and *any* float64 input — including samples landing exactly on
+split thresholds, negative and astronomically large dims, and NaNs
+(which descend right, like the reference walk's ``else`` branch).
 """
 
 import numpy as np
 import pytest
 
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, export_python
 from repro.ml.tree.codegen import (
-    COMPILE_VARIANTS,
     MAX_SOURCE_DEPTH,
     CompiledTree,
     compile_tree,
     tree_apply_source,
+)
+from repro.testing import reference_leaves
+
+#: Both nested-``if`` emitters share one walker and its checks.
+EMITTERS = pytest.mark.parametrize(
+    "emit", [tree_apply_source, export_python], ids=lambda f: f.__name__
 )
 
 
@@ -53,62 +57,50 @@ def _boundary_rows(tree, rng, n_random=64):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("variant", COMPILE_VARIANTS)
     @pytest.mark.parametrize("tree_seed", range(6))
-    def test_random_trees_match_reference_walk(self, variant, tree_seed):
+    def test_random_trees_match_reference_walk(self, tree_seed):
         rng = np.random.default_rng(tree_seed)
         tree = _fit_tree(rng, n_features=2 + tree_seed % 3)
-        compiled = compile_tree(tree, variant=variant)
+        compiled = compile_tree(tree)
         X = _boundary_rows(tree, rng)
-        np.testing.assert_array_equal(compiled.apply(X), tree.apply_loop(X))
+        np.testing.assert_array_equal(
+            compiled.apply(X), reference_leaves(tree, X)
+        )
 
-    @pytest.mark.parametrize("variant", COMPILE_VARIANTS)
-    def test_deep_unbalanced_tree(self, variant):
+    def test_deep_unbalanced_tree(self):
         # A staircase target forces a deep chain of axis splits.
         rng = np.random.default_rng(99)
         X = np.arange(64, dtype=np.float64).reshape(-1, 1)
         y = np.arange(64) // 2
         clf = DecisionTreeClassifier(random_state=0).fit(X, y)
         tree = clf.tree_
-        compiled = compile_tree(tree, variant=variant)
+        compiled = compile_tree(tree)
         probe = _boundary_rows(tree, rng)
         np.testing.assert_array_equal(
-            compiled.apply(probe), tree.apply_loop(probe)
+            compiled.apply(probe), reference_leaves(tree, probe)
         )
 
-    @pytest.mark.parametrize("variant", COMPILE_VARIANTS)
-    def test_stump_and_constant_targets(self, variant):
+    def test_stump_and_constant_targets(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 10, size=(30, 2))
         clf = DecisionTreeClassifier(max_depth=1, random_state=0)
         clf.fit(X, np.zeros(30, dtype=np.int64))  # pure leaf, no split
-        compiled = compile_tree(clf.tree_, variant=variant)
+        compiled = compile_tree(clf.tree_)
         np.testing.assert_array_equal(
-            compiled.apply(X), clf.tree_.apply_loop(X)
+            compiled.apply(X), reference_leaves(clf.tree_, X)
         )
-
-    def test_variants_agree_with_each_other(self):
-        rng = np.random.default_rng(11)
-        tree = _fit_tree(rng)
-        source = compile_tree(tree, variant="source")
-        flat = compile_tree(tree, variant="flat")
-        X = _boundary_rows(tree, rng, n_random=128)
-        np.testing.assert_array_equal(source.apply(X), flat.apply(X))
 
 
 class TestSourceEmission:
     def test_source_round_trips_thresholds_exactly(self):
         rng = np.random.default_rng(5)
         tree = _fit_tree(rng)
-        compiled = compile_tree(tree, variant="source")
+        compiled = compile_tree(tree)
         assert isinstance(compiled, CompiledTree)
-        assert compiled.source is not None
         assert compiled.source.startswith("def tree_apply(")
         for f, t in zip(tree.feature, tree.threshold):
             if f >= 0:
                 assert repr(float(t)) in compiled.source
-        # The flat variant carries no source.
-        assert compile_tree(tree, variant="flat").source is None
 
     def test_feature_names_become_arguments(self):
         rng = np.random.default_rng(6)
@@ -118,13 +110,14 @@ class TestSourceEmission:
         )
         assert source.startswith("def tree_apply(m, k, n, batch):")
 
-    def test_invalid_identifiers_rejected(self):
+    @EMITTERS
+    def test_invalid_identifiers_rejected(self, emit):
         rng = np.random.default_rng(7)
         tree = _fit_tree(rng, n_features=2)
         with pytest.raises(ValueError, match="identifier"):
-            tree_apply_source(tree, feature_names=("m", "not valid"))
+            emit(tree, feature_names=["m", "not valid"])
         with pytest.raises(ValueError, match="identifier"):
-            tree_apply_source(tree, function_name="bad name")
+            emit(tree, function_name="bad name")
 
     def test_too_few_feature_names_rejected(self):
         rng = np.random.default_rng(8)
@@ -133,12 +126,6 @@ class TestSourceEmission:
             pytest.skip("tree never split on the last feature")
         with pytest.raises(ValueError, match="feature names"):
             compile_tree(tree, feature_names=("a",))
-
-    def test_unknown_variant_rejected(self):
-        rng = np.random.default_rng(9)
-        tree = _fit_tree(rng)
-        with pytest.raises(ValueError, match="variant"):
-            compile_tree(tree, variant="jit")
 
 
 class TestDepthLimit:
@@ -172,17 +159,45 @@ class TestDepthLimit:
             n_samples=np.ones(n_nodes, dtype=np.int64),
         )
 
-    def test_source_variant_guards_python_nesting_limit(self):
+    @EMITTERS
+    def test_emitters_guard_python_nesting_limit(self, emit):
         tree = self._deep_tree()
         assert tree.max_depth > MAX_SOURCE_DEPTH
-        with pytest.raises(ValueError, match="flat"):
-            compile_tree(tree, variant="source")
+        with pytest.raises(ValueError, match="MAX_SOURCE_DEPTH"):
+            emit(tree)
 
-    def test_flat_variant_is_depth_unbounded(self):
+    def test_deep_tree_is_served_by_the_numpy_selector(self):
+        from repro.core.pruning.base import PrunedSet
+        from repro.kernels.params import config_space
+        from repro.pipeline.mapped import rebuild_deployed
+        from repro.workloads.gemm import GemmShape
+
         tree = self._deep_tree()
-        compiled = compile_tree(tree, variant="flat")
-        X = np.arange(tree.max_depth + 20, dtype=np.float64).reshape(-1, 1)
-        np.testing.assert_array_equal(compiled.apply(X), tree.apply_loop(X))
+        with pytest.raises(ValueError, match="MAX_SOURCE_DEPTH"):
+            compile_tree(tree)
+        # A tree selector over the chain: node i's leaf picks config
+        # i % 2, and the first feature (m) walks down the chain.
+        tree.value = np.eye(2)[np.arange(tree.node_count) % 2]
+        configs = tuple(config_space(tile_sizes=(1, 2), work_groups=((8, 8),)))
+        deployed = rebuild_deployed(
+            {
+                "pruned": PrunedSet((0, 1), configs[:2], "chain"),
+                "classifier": "DecisionTree",
+                "constant": None,
+                "has_tree": True,
+                "classes": [0, 1],
+                "n_features_in": 4,
+            },
+            tree,
+        )
+        with pytest.raises(ValueError, match="MAX_SOURCE_DEPTH"):
+            deployed.compiled()
+        shapes = [
+            GemmShape(m=m, k=8, n=8) for m in range(1, tree.max_depth + 20)
+        ]
+        batch = deployed.select_batch(shapes)
+        assert batch == tuple(deployed.select(shape) for shape in shapes)
+        assert set(batch) == set(configs[:2])
 
 
 class TestDeployedSelectorCompiled:
@@ -193,11 +208,8 @@ class TestDeployedSelectorCompiled:
         train, _ = small_dataset.split(test_size=0.3, random_state=0)
         return tune(train, n_configs=4, random_state=0)
 
-    @pytest.mark.parametrize("variant", COMPILE_VARIANTS)
-    def test_decisions_identical_to_selector(
-        self, deployed, small_dataset, variant
-    ):
-        compiled = deployed.compiled(variant=variant)
+    def test_decisions_identical_to_selector(self, deployed, small_dataset):
+        compiled = deployed.compiled()
         shapes = tuple(small_dataset.shapes)
         assert compiled.select_batch(shapes) == deployed.select_batch(shapes)
         for shape in shapes:
@@ -205,7 +217,6 @@ class TestDeployedSelectorCompiled:
 
     def test_source_property_exposed(self, deployed):
         compiled = deployed.compiled()
-        assert compiled.variant == "source"
         assert "def tree_apply(m, k, n, batch):" in compiled.source
 
     def test_constant_selector_compiles_to_single_leaf(self, small_dataset):

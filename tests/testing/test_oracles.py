@@ -17,6 +17,7 @@ from repro.testing import (
     queue_equivalence_oracle,
     random_shapes,
     random_tree,
+    reference_leaves,
     tree_apply_oracle,
 )
 from repro.utils.rng import stream
@@ -38,14 +39,14 @@ class TestTreeApplyOracle:
         assert tree.node_count == 1
         X = rng.standard_normal((32, 4))
         np.testing.assert_array_equal(tree.apply(X), np.zeros(32, dtype=np.intp))
-        np.testing.assert_array_equal(tree.apply(X), tree.apply_loop(X))
+        np.testing.assert_array_equal(tree.apply(X), reference_leaves(tree, X))
 
     def test_empty_batch(self):
         rng = stream(0, "test", "empty-batch")
         tree = random_tree(rng)
         X = np.empty((0, 4))
         assert tree.apply(X).shape == (0,)
-        np.testing.assert_array_equal(tree.apply(X), tree.apply_loop(X))
+        np.testing.assert_array_equal(tree.apply(X), reference_leaves(tree, X))
 
 
 class TestBatchSelectOracle:
