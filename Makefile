@@ -53,14 +53,16 @@ bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 # Mirrors the CI bench-smoke job: throughput, obs-overhead, compiled
-# hot-path, adaptive-layer and transfer-aware placement gates plus a
-# 5 s loadgen smoke with a qps floor, a drifted run with a gap-closure
-# floor, the onboarding quality/cost gate (95% quality at a 10% budget)
-# and the full-stride placement-flip experiment gate.
+# hot-path, batched-routing, adaptive-layer and transfer-aware
+# placement gates plus a 5 s loadgen smoke with a qps floor, a drifted
+# run with a gap-closure floor, the onboarding quality/cost gate (95%
+# quality at a 10% budget) and the full-stride placement-flip
+# experiment gate.
 bench-smoke:
 	PYTHONPATH=src python -m pytest \
 		benchmarks/test_bench_serving.py benchmarks/test_bench_obs.py \
 		benchmarks/test_bench_codegen.py benchmarks/test_bench_adaptive.py \
+		benchmarks/test_bench_fleet.py \
 		benchmarks/test_bench_onboard.py benchmarks/test_bench_placement.py \
 		-q -p no:randomly --benchmark-json=bench-results.json
 	PYTHONPATH=src python -m repro.cli loadgen run \

@@ -9,13 +9,13 @@ device-agnostic) over a four-device fleet, served three ways:
   tracking, no cross-device fallback — the cheapest possible reference;
 * ``select`` — the router's per-query path: full policy placement and
   breaker checks on every call;
-* ``batch``  — the router's ``select_batch`` partitions, which pay the
-  policy work once per batch (targeted fast path) or under one lock
-  acquisition (agnostic path), once per routing policy.
+* ``batch``  — the router's ``select_batch``: one planning pass under
+  one lock records each shape's first-choice device, then each device
+  answers its share in one service call; once per routing policy.
 
 The batch path must beat per-query routing >= 1.5x with identical
-targeted answers; the independent-loops number is printed as the floor
-the routing features are priced against.
+targeted answers; the independent-loops number is printed for
+reference, as per-query serving without any routing features.
 """
 
 import time

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.ml.base import BaseEstimator, check_is_fitted
 from repro.utils.validation import check_array
@@ -54,6 +53,10 @@ class PCA(BaseEstimator):
             )
         self.mean_ = X.mean(axis=0)
         centered = X - self.mean_
+        # Imported here: scipy.linalg adds ~28 MB to every process that
+        # imports repro, and only PCA needs it.
+        import scipy.linalg
+
         # Thin SVD (full_matrices=False): the guide's SVD idiom — never
         # materialise the full orthogonal factors for a rectangular input.
         u, s, vt = scipy.linalg.svd(centered, full_matrices=False)

@@ -248,6 +248,7 @@ class SelectionService:
         """
         start = time.perf_counter()
         shapes = tuple(shapes)
+        keys = [shape.as_tuple() for shape in shapes]
         owned: List[Tuple[GemmShape, _Key, Event]] = []
         waiting: List[Tuple[GemmShape, _Key, Event]] = []
         with self._lock:
@@ -262,8 +263,7 @@ class SelectionService:
             resolved: Dict[_Key, KernelConfig] = {}
             seen: Set[_Key] = set()
             hits = 0
-            for shape in shapes:
-                key = shape.as_tuple()
+            for shape, key in zip(shapes, keys):
                 if key in seen:
                     continue
                 seen.add(key)
@@ -294,7 +294,7 @@ class SelectionService:
         for shape, key, event in waiting:
             resolved[key] = self._resolve_one(shape, key, event, count_call=False)
 
-        out = tuple(resolved[shape.as_tuple()] for shape in shapes)
+        out = tuple(map(resolved.__getitem__, keys))
         duration = time.perf_counter() - start
         self._h_call.observe(duration)
         self._h_lookup.observe_n(duration / len(shapes), len(shapes))

@@ -56,10 +56,15 @@ class TestDispatch:
     def test_unknown_device_raises(self, fleet_router, all_shapes):
         with pytest.raises(KeyError, match="no device"):
             fleet_router.select(all_shapes[0], device_id="mystery-gpu")
+        # An empty batch is validated like any other.
+        with pytest.raises(KeyError, match="no device"):
+            fleet_router.select_batch([], device_id="mystery-gpu")
 
     def test_unknown_policy_raises(self, fleet_router, all_shapes):
         with pytest.raises(ValueError, match="unknown routing policy"):
             fleet_router.select(all_shapes[0], policy="fastest-first")
+        with pytest.raises(ValueError, match="unknown routing policy"):
+            fleet_router.select_batch([], policy="fastest-first")
 
     def test_round_robin_cycles_the_fleet(self, fleet_router, all_shapes):
         placed = [
@@ -119,6 +124,68 @@ class TestDispatch:
             single = fleet_router.select(shape, policy="perf-aware")
             assert single.device_id == decision.device_id
             assert single.config == decision.config
+
+
+class TestBatchPlacement:
+    """A batch is placed like the same number of sequential selects.
+
+    Two identical routers, one fed a batch and one the same shapes one
+    ``select`` at a time: every decision, the router counters, and the
+    placements that follow (round-robin cursor, outstanding load) must
+    agree.  Loads start uneven and the cursor mid-cycle.
+    """
+
+    @staticmethod
+    def _router(fleet_run, all_shapes, dead):
+        plan = FaultPlan()
+        for did in dead:
+            plan.kill_device(did, after=0)
+        router = _faulty_router(fleet_run, plan, victims=dead)
+        for did in dead:
+            for shape in all_shapes[:2]:
+                router.service(did).select(shape)
+            assert router.service(did).breaker_open
+        for shape in all_shapes[2:5]:
+            router.select(shape, device_id="latency-bound")
+        router.select(all_shapes[5], policy="round-robin")
+        return router
+
+    @staticmethod
+    def _counters(router):
+        stats = router.stats()
+        return (
+            stats.dispatched,
+            stats.outstanding,
+            stats.targeted,
+            stats.agnostic,
+            stats.rerouted,
+            stats.policy_counts,
+        )
+
+    @pytest.mark.parametrize(
+        "dead", [(), (VICTIM,), SMALL_FLEET], ids=["closed", "open", "all-open"]
+    )
+    @pytest.mark.parametrize("target", [None, VICTIM], ids=["agnostic", "targeted"])
+    @pytest.mark.parametrize("policy", ROUTING_POLICIES)
+    def test_batch_places_like_sequential_selects(
+        self, fleet_run, all_shapes, policy, target, dead
+    ):
+        batched = self._router(fleet_run, all_shapes, dead)
+        sequential = self._router(fleet_run, all_shapes, dead)
+        shapes = list(all_shapes[6:19]) + list(all_shapes[6:10])
+        decisions = batched.select_batch(shapes, device_id=target, policy=policy)
+        singles = tuple(
+            sequential.select(shape, device_id=target, policy=policy)
+            for shape in shapes
+        )
+        assert decisions == singles
+        assert self._counters(batched) == self._counters(sequential)
+        for router in (batched, sequential):
+            router.complete(decisions[0].device_id, n=2)
+        after = all_shapes[20:26]
+        assert [batched.select(s, policy=policy) for s in after] == [
+            sequential.select(s, policy=policy) for s in after
+        ]
 
 
 class TestPolicyRegistry:

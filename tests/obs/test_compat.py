@@ -151,6 +151,12 @@ class TestFleetStatsCompat:
         router.complete("dev-a", n=10)
         assert router.stats().outstanding["dev-a"] == 0
 
+    def test_complete_rejects_negative_counts(self):
+        router = self._router()
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            router.complete("dev-a", n=-5)
+        assert router.stats().outstanding["dev-a"] == 0
+
     def test_clear_zeroes_router_metrics_but_keeps_services(self):
         registry = MetricsRegistry()
         router = self._router(registry=registry)
