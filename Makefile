@@ -54,10 +54,10 @@ bench:
 
 # Mirrors the CI bench-smoke job: throughput, obs-overhead, compiled
 # hot-path, batched-routing, adaptive-layer and transfer-aware
-# placement gates plus a 5 s loadgen smoke with a qps floor, a drifted
-# run with a gap-closure floor, the onboarding quality/cost gate (95%
-# quality at a 10% budget) and the full-stride placement-flip
-# experiment gate.
+# placement gates, the performance ledger's self-tests, a 5 s loadgen
+# smoke with a qps floor, a drifted run with a gap-closure floor, the
+# onboarding quality/cost gate (95% quality at a 10% budget) and the
+# full-stride placement-flip experiment gate.
 bench-smoke:
 	PYTHONPATH=src python -m pytest \
 		benchmarks/test_bench_serving.py benchmarks/test_bench_obs.py \
@@ -65,6 +65,7 @@ bench-smoke:
 		benchmarks/test_bench_fleet.py \
 		benchmarks/test_bench_onboard.py benchmarks/test_bench_placement.py \
 		-q -p no:randomly --benchmark-json=bench-results.json
+	PYTHONPATH=src python -m pytest benchmarks/ledger -q -p no:randomly
 	PYTHONPATH=src python -m repro.cli loadgen run \
 		--qps 40000 --duration 5 --workers 4 \
 		--min-qps 10000 --report-json loadgen-report.json

@@ -113,7 +113,15 @@ class MetricsRegistry:
         return f"MetricsRegistry({len(self)} metrics)"
 
 
+def _no_op() -> None:
+    pass
+
+
 class _NullCounter(Counter):
+    def __init__(self) -> None:
+        super().__init__()
+        self.tick = _no_op
+
     def inc(self, n: int = 1) -> None:
         pass
 

@@ -8,13 +8,15 @@ adaptive GEMM selection (PAPERS.md, arXiv:2408.11417):
   :class:`~repro.ml.online.BloomAdmission` stack; only shapes seen at
   least ``admission_threshold`` times earn per-shape bandit state, so
   one-off shapes cost a few hash probes and nothing else.
-* **Warm path** — an admitted shape's select is one dict read plus a
-  GIL-atomic tick (no lock): serve the armed trial if one is pending,
-  else the promoted override if one exists, else fall through to the
-  wrapped :class:`~repro.serving.service.SelectionService` (its
-  lock-free snapshot path).  All bandit mutation happens on the
-  feedback path; warm-path ticks are folded into the exact
-  ``adaptive.admission_hits`` counter whenever stats are read.
+* **Warm path** — an admitted shape's select builds the shape key
+  once, reads its state with one dict get and counts the hit with one
+  lock-free :meth:`~repro.obs.Counter.tick` of
+  ``adaptive.admission_hits`` (exact in every read, snapshot and
+  reset; :mod:`repro.obs` folds the ticks in): serve the armed trial
+  if one is pending, else the promoted override if one exists, else
+  hand shape and key to the wrapped
+  :class:`~repro.serving.service.SelectionService` (its lock-free
+  snapshot path).  All bandit mutation happens on the feedback path.
 * **Feedback** — callers report observed latencies via :meth:`record`;
   the per-shape :class:`~repro.adaptive.bandit.ShapeBandit` updates its
   decayed estimators, arms trials, and promotes/demotes configs.
@@ -28,12 +30,11 @@ same obs registry the wrapped service uses.
 
 from __future__ import annotations
 
-import itertools
 import threading
+import weakref
 from collections import deque
-from operator import attrgetter
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.adaptive.bandit import (
     AdaptiveConfig,
@@ -100,7 +101,12 @@ class AdaptiveStats:
 
 
 class AdaptiveSelectionService:
-    """Bloom-admitted bandit layer around a :class:`SelectionService`."""
+    """Bloom-admitted bandit layer around a :class:`SelectionService`.
+
+    ``select(shape)`` serves one lookup: the armed trial, else the
+    promoted override, else the wrapped service's answer.  It is built
+    per instance by :meth:`_warm_select`.
+    """
 
     def __init__(
         self,
@@ -140,17 +146,7 @@ class AdaptiveSelectionService:
         self._h_observed = reg.histogram("adaptive.observed_seconds", labels)
         self._states: Dict[_Key, ShapeBandit] = {}
         self._lock = threading.Lock()
-        # Warm single selects count via a GIL-atomic itertools.count
-        # tick (~5x cheaper than the lock-based obs counter); the ticks
-        # are reconciled into ``_c_hits`` by :meth:`_flush_hits`.
-        self._hit_ticks = itertools.count()
-        self._hit_reads = 0
-        self._hits_flushed = 0
-        # Bound-method caches for the request-hot warm path: each one
-        # trims an attribute hop per select.
-        self._states_get = self._states.get
-        self._tick = self._hit_ticks.__next__
-        self._inner_select = service.select
+        self.select = self._warm_select()
         self._admission = BloomAdmission(
             threshold=self._config.admission_threshold,
             capacity=self._config.admission_capacity,
@@ -185,16 +181,12 @@ class AdaptiveSelectionService:
     def fallback(self) -> Optional[KernelConfig]:
         return self._service.fallback
 
-    # The router probes every device's breaker on every request, so
-    # this delegation is request-path hot.  A C-level attrgetter reads
-    # the wrapped service's breaker flag directly: a lone bool read is
-    # GIL-atomic, and a health probe needs no stronger ordering than
-    # the lock-guarded property gives (either way the flag can flip the
-    # instant after the probe).
-    breaker_open = property(
-        attrgetter("_service._breaker_open"),
-        doc="Whether the wrapped service's circuit breaker is open.",
-    )
+    @property
+    def breaker_open(self) -> bool:
+        return self._service.breaker_open
+
+    def watch_breaker(self, callback: Callable[[], None]) -> None:
+        self._service.watch_breaker(callback)
 
     def stats(self) -> ServiceStats:
         return self._service.stats()
@@ -220,20 +212,37 @@ class AdaptiveSelectionService:
         """Whether router completions feed :meth:`record` implicitly."""
         return self._auto_record
 
-    def select(self, shape: GemmShape) -> KernelConfig:
-        state = self._states_get(shape.as_tuple())
-        if state is None:
-            return self._select_cold(shape, shape.as_tuple())
-        # Warm admitted path: lock-free reads plus one GIL-atomic tick;
-        # the (rare) armed-trial branch is outlined so the common case
-        # stays as few bytecodes as possible.
-        self._tick()
-        if state.next_trial is not None:
-            return self._select_trial(shape, state)
-        current = state.current
-        if current is not None:
-            return current
-        return self._inner_select(shape)
+    def _warm_select(self) -> Callable[[GemmShape], KernelConfig]:
+        """Build ``select(shape)``, the request-hot single lookup.
+
+        It is a closure because its collaborators then come from closure
+        cells rather than attributes of ``self``; that keeps the warm
+        admitted path within the 5% serving-path budget gated by
+        ``benchmarks/test_bench_adaptive.py``.  The cold and trial paths
+        go through a weak proxy, so the service does not own itself.
+        """
+        states_get = self._states.get
+        tick_hit = self._c_hits.tick
+        inner_select = self._service.select
+        me = weakref.proxy(self)
+
+        def select(shape: GemmShape) -> KernelConfig:
+            # shape.as_tuple() without its call frame.
+            key = (shape.m, shape.k, shape.n, shape.batch)
+            state = states_get(key)
+            if state is None:
+                return me._select_cold(shape, key)
+            # Warm admitted path: lock-free reads plus one tick; the
+            # (rare) armed-trial branch is outlined.
+            tick_hit()
+            if state.next_trial is not None:
+                return me._select_trial(shape, state)
+            current = state.current
+            if current is not None:
+                return current
+            return inner_select(shape, key)
+
+        return select
 
     def _select_trial(
         self, shape: GemmShape, state: ShapeBandit
@@ -342,7 +351,6 @@ class AdaptiveSelectionService:
         return dict(self._states)
 
     def adaptive_stats(self) -> AdaptiveStats:
-        self._flush_hits()
         return AdaptiveStats(
             admission_hits=self._c_hits.value,
             admission_misses=self._c_misses.value,
@@ -355,25 +363,6 @@ class AdaptiveSelectionService:
         )
 
     # -- internals ----------------------------------------------------------
-
-    def _flush_hits(self) -> None:
-        """Fold warm-path ticks into ``adaptive.admission_hits``.
-
-        Reading :class:`itertools.count` consumes a tick, so reads are
-        counted too and subtracted back out: the running total of warm
-        single selects is ``raw - prior_reads``, exact at any quiescent
-        point.  Batch hits go straight to the obs counter (one locked
-        ``inc`` amortised over the whole batch), so only the delta of
-        single-select ticks is flushed here.
-        """
-        with self._lock:
-            raw = next(self._hit_ticks)
-            total = raw - self._hit_reads
-            self._hit_reads += 1
-            delta = total - self._hits_flushed
-            if delta:
-                self._hits_flushed = total
-                self._c_hits.inc(delta)
 
     def _select_cold(self, shape: GemmShape, key: _Key) -> KernelConfig:
         self._c_misses.inc()

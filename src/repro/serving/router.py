@@ -19,22 +19,34 @@ each device answers its share in one call, and fallback orders are
 derived only on failure (``benchmarks/test_bench_fleet.py``: ~5-20x
 faster than per-query routing, depending on the policy).
 
+A device-agnostic round-robin lookup while every breaker is closed —
+the common case — takes no lock and builds no list: it reads a cached
+tuple of the devices (rebuilt only by :meth:`FleetRouter.add_device`
+and by breaker transitions, which each service reports through
+``watch_breaker``), draws its turn from an :class:`itertools.count`
+and counts itself with lock-free :meth:`~repro.obs.Counter.tick` calls.
+Every other lookup — targeted, another policy, any breaker open — is
+ordered by :meth:`FleetRouter._candidates` under the router lock; the
+router never holds that lock while calling into a service.
+
 Service exceptions never escape a routed lookup while any device is
 healthy: the router catches, counts a reroute, and retries the next
 candidate.  Dispatch accounting lives in a :mod:`repro.obs` registry
-(per-device ``fleet.dispatched``/``fleet.outstanding``, per-policy
-``fleet.placements``) and cross-device fallbacks emit ``fleet.reroute``
-spans on the router's tracer; :meth:`FleetRouter.stats` stays a thin
-view assembling the legacy :class:`~repro.serving.stats.FleetStats`
-shape from those metrics and the per-device service snapshots.
+(per-device ``fleet.dispatched``/``fleet.completed``, whose difference
+is the in-flight load, and per-policy ``fleet.placements``) and
+cross-device fallbacks emit ``fleet.reroute`` spans on the router's
+tracer; :meth:`FleetRouter.stats` stays a thin view assembling the
+legacy :class:`~repro.serving.stats.FleetStats` shape from those
+metrics and the per-device service snapshots.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
-from itertools import repeat
+from itertools import count, repeat
 from typing import (
     Callable,
     Dict,
@@ -66,6 +78,32 @@ ROUTING_POLICIES: Tuple[str, ...] = (
 #: Positions of a batch's shapes: a stride or an explicit list.
 _Picks = Union[slice, List[int]]
 
+# tuple.__new__ is RoutedDecision._make minus a Python frame.
+_new_tuple = tuple.__new__
+
+
+def _rotated(pool: Sequence[str], turn: int) -> List[str]:
+    """``pool`` cycled to start at round-robin ``turn``."""
+    start = turn % len(pool)
+    return [*pool[start:], *pool[:start]]
+
+
+def _ring_refresher(router: "FleetRouter") -> Callable[[], None]:
+    """A breaker watcher that rebuilds ``router``'s ring.
+
+    It holds the router weakly: a service that kept its router alive
+    would close a reference cycle, and fleets would then wait for the
+    cyclic garbage collector instead of being freed on last use.
+    """
+    ref = weakref.ref(router)
+
+    def refresh() -> None:
+        live = ref()
+        if live is not None:
+            live._refresh_ring()
+
+    return refresh
+
 
 class RoutedDecision(NamedTuple):
     """One routed lookup: which device answered, with what.
@@ -83,9 +121,11 @@ class RoutedDecision(NamedTuple):
 class _DeviceEntry:
     """Router-side bookkeeping for one fleet device.
 
-    Load accounting lives in registry metrics so a fleet-wide obs
+    Load accounting lives in registry counters so a fleet-wide obs
     snapshot carries per-device dispatch counts without a separate
-    stats pass; the router mutates them under its own lock.
+    stats pass: ``fleet.dispatched`` ticks once per answered lookup and
+    ``fleet.completed`` grows under the router lock in
+    :meth:`FleetRouter.complete`; the in-flight load is the difference.
     """
 
     def __init__(
@@ -96,20 +136,18 @@ class _DeviceEntry:
         registry: MetricsRegistry,
         device_id: str,
     ):
+        self.device_id = device_id
         self.service = service
+        self.select = service.select
         self.model = model
         self.library = library
         labels = {"device": device_id}
         self.c_dispatched = registry.counter("fleet.dispatched", labels)
-        self.g_outstanding = registry.gauge("fleet.outstanding", labels)
+        self.c_completed = registry.counter("fleet.completed", labels)
 
     @property
     def outstanding(self) -> int:
-        return int(self.g_outstanding.value)
-
-    @property
-    def dispatched(self) -> int:
-        return self.c_dispatched.value
+        return self.c_dispatched.value - self.c_completed.value
 
 
 class FleetRouter:
@@ -150,7 +188,13 @@ class FleetRouter:
             policy: reg.counter("fleet.placements", {"policy": policy})
             for policy in ROUTING_POLICIES
         }
-        self._rr_cursor = 0
+        self._tick_agnostic = self._c_agnostic.tick
+        self._tick_round_robin = self._c_placements["round-robin"].tick
+        self._restart_turns(0)
+        # Every device, in order, while all breakers are closed; empty
+        # otherwise.  Replaced whole, never mutated: select reads it
+        # without the lock.
+        self._ring: Tuple[_DeviceEntry, ...] = ()
         # (device_id, shape tuple) -> predicted best seconds on device.
         self._estimates: Dict[Tuple[str, Tuple[int, ...]], float] = {}
 
@@ -199,6 +243,10 @@ class FleetRouter:
                 self._registry,
                 device_id,
             )
+        # Outside the router lock: the watcher runs under the service
+        # lock and takes the router lock, never the other way round.
+        service.watch_breaker(_ring_refresher(self))
+        self._refresh_ring()
         return self
 
     @property
@@ -220,6 +268,22 @@ class FleetRouter:
             ids = tuple(self._devices)
         return tuple(did for did in ids if not self._devices[did].service.breaker_open)
 
+    def _refresh_ring(self) -> None:
+        """Rebuild the lock-free round-robin ring from breaker health.
+
+        Called after membership changes and by every service's breaker
+        watcher.  Each rebuild reads all flags under the router lock, so
+        the last one to run saw every transition that preceded it.
+        """
+        with self._lock:
+            entries = tuple(self._devices.values())
+            healthy = not any(e.service.breaker_open for e in entries)
+            self._ring = entries if healthy else ()
+
+    def _restart_turns(self, turn: int) -> None:
+        """Make ``turn`` the next round-robin turn drawn."""
+        self._next_turn = count(turn).__next__
+
     def _entry(self, device_id: str) -> _DeviceEntry:
         try:
             return self._devices[device_id]
@@ -239,25 +303,63 @@ class FleetRouter:
         policy: Optional[str] = None,
     ) -> RoutedDecision:
         """Route one lookup; never raises while a healthy device answers."""
+        ring = self._ring
+        if (
+            ring
+            and device_id is None
+            and (policy or self._default_policy) == "round-robin"
+        ):
+            # Healthy round-robin: ticks only, no lock, no list.
+            self._tick_agnostic()
+            self._tick_round_robin()
+            turn = self._next_turn()
+            entry = ring[turn % len(ring)]
+            try:
+                config = entry.select(shape)
+            except Exception as exc:
+                start = time.perf_counter()
+                self._c_rerouted.tick()
+                # Fail over in the order _candidates gives this turn.
+                order = _rotated([e.device_id for e in ring], turn)
+                return self._serve(shape, order, None, start, exc)
+            entry.c_dispatched.tick()
+            return _new_tuple(RoutedDecision, (entry.device_id, config, False))
         start = time.perf_counter()
         candidates, targeted = self._candidates(shape, device_id, policy)
-        last_exc: Optional[BaseException] = None
-        for position, did in enumerate(candidates):
+        return self._serve(shape, candidates, targeted, start, None)
+
+    def _serve(
+        self,
+        shape: GemmShape,
+        candidates: Sequence[str],
+        targeted: Optional[str],
+        start: float,
+        failed: Optional[BaseException],
+    ) -> RoutedDecision:
+        """Answer from the first candidate that does not raise.
+
+        ``failed`` is the exception of a first candidate that was
+        already tried (and counted as a reroute); serving then resumes
+        at the second.  ``fleet.reroute`` spans run from ``start``: the
+        request's arrival, or the first choice's failure for a lookup
+        that began on the lock-free path.
+        """
+        last_exc = failed
+        for position in range(0 if failed is None else 1, len(candidates)):
+            did = candidates[position]
             entry = self._devices[did]
             try:
-                config = entry.service.select(shape)
+                config = entry.select(shape)
             except Exception as exc:
                 last_exc = exc
-                self._c_rerouted.inc()
+                self._c_rerouted.tick()
                 continue
+            entry.c_dispatched.tick()
             rerouted = position > 0 or (targeted is not None and did != targeted)
-            with self._lock:
-                entry.c_dispatched.inc()
-                entry.g_outstanding.inc()
-                if rerouted and position == 0:
-                    # Targeted at an open breaker: the fallback device
-                    # answered first try, but it is still a reroute.
-                    self._c_rerouted.inc()
+            if rerouted and position == 0:
+                # Targeted at an open breaker: the fallback device
+                # answered first try, but it is still a reroute.
+                self._c_rerouted.tick()
             if rerouted:
                 requested = targeted if targeted is not None else candidates[0]
                 self._tracer.record(
@@ -327,16 +429,13 @@ class FleetRouter:
                         serve(next_did, next_picks, tried)
                 return
             rerouted = bool(tried) or (device_id is not None and did != device_id)
-            with self._lock:
-                entry.c_dispatched.inc(len(configs))
-                entry.g_outstanding.inc(len(configs))
+            entry.c_dispatched.inc(len(configs))
             if rerouted and not tried:
                 # Targeted at an open breaker: the policy's first choice
                 # answered, but every shape is still a reroute.
                 self._c_rerouted.inc(len(configs))
-            # tuple.__new__ is RoutedDecision._make minus a Python frame.
             fields = zip(repeat(did), configs, repeat(rerouted))
-            decisions = map(tuple.__new__, repeat(RoutedDecision), fields)
+            decisions = map(_new_tuple, repeat(RoutedDecision), fields)
             if isinstance(picks, slice):
                 out[picks] = decisions  # type: ignore
             else:
@@ -374,8 +473,13 @@ class FleetRouter:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         with self._lock:
-            entry = self._entry(device_id)
-            entry.g_outstanding.set(max(0.0, entry.g_outstanding.value - n))
+            entry = self._devices.get(device_id) or self._entry(device_id)
+            # Clamp at zero: never complete more than is in flight.
+            done = min(n, entry.c_dispatched.value - entry.c_completed.value)
+            if done == 1:
+                entry.c_completed.tick()
+            elif done > 0:
+                entry.c_completed.inc(done)
             service = entry.service
         if (
             shape is not None
@@ -405,7 +509,7 @@ class FleetRouter:
             ids = list(self._devices)
             if device_id is not None:
                 target = self._entry(device_id)
-                self._c_targeted.inc()
+                self._c_targeted.tick()
                 if not target.service.breaker_open:
                     order = [device_id]
                     order += [d for d in ids if d != device_id]
@@ -414,18 +518,16 @@ class FleetRouter:
                 # the dead device as the candidate of last resort.
                 chosen_policy = policy or self._default_policy
             else:
-                self._c_agnostic.inc()
+                self._tick_agnostic()
                 chosen_policy = policy or self._default_policy
             self._check_policy(chosen_policy)
-            self._c_placements[chosen_policy].inc()
+            self._c_placements[chosen_policy].tick()
             healthy = [d for d in ids if not self._devices[d].service.breaker_open]
             open_ids = [d for d in ids if d not in healthy]
             pool = healthy if healthy else ids
 
             if chosen_policy == "round-robin":
-                start = self._rr_cursor % len(pool)
-                self._rr_cursor += 1
-                ordered = pool[start:] + pool[:start]
+                ordered = _rotated(pool, self._next_turn())
             elif chosen_policy == "least-outstanding":
                 ordered = sorted(pool, key=lambda d: self._devices[d].outstanding)
             else:  # perf-aware
@@ -476,8 +578,8 @@ class FleetRouter:
             rows: List[List[float]] = []
             if chosen == "round-robin":
                 k = len(pool)
-                start = self._rr_cursor
-                self._rr_cursor += n
+                start = self._next_turn()
+                self._restart_turns(start + n)
                 # All breakers open: skip the dead target, as _candidates does.
                 skip = device_id if k > 1 else None
                 heads = [pool[(start + j) % k] for j in range(k + 1)]
@@ -552,8 +654,11 @@ class FleetRouter:
         """Aggregated fleet snapshot: a thin view over the obs metrics."""
         with self._lock:
             ids = tuple(self._devices)
-            dispatched = {d: self._devices[d].dispatched for d in ids}
-            outstanding = {d: self._devices[d].outstanding for d in ids}
+            dispatched = {d: self._devices[d].c_dispatched.value for d in ids}
+            # From the same dispatch counts, so the two views agree.
+            outstanding = {
+                d: dispatched[d] - self._devices[d].c_completed.value for d in ids
+            }
             targeted = self._c_targeted.value
             agnostic = self._c_agnostic.value
             rerouted = self._c_rerouted.value
@@ -587,7 +692,7 @@ class FleetRouter:
         registry are untouched.
         """
         with self._lock:
-            self._rr_cursor = 0
+            self._restart_turns(0)
             self._c_targeted.reset()
             self._c_agnostic.reset()
             self._c_rerouted.reset()
@@ -595,7 +700,7 @@ class FleetRouter:
                 counter.reset()
             self._estimates.clear()
             for entry in self._devices.values():
-                entry.g_outstanding.reset()
+                entry.c_completed.reset()
                 entry.c_dispatched.reset()
 
     def __repr__(self) -> str:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from threading import Event, Lock
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.kernels.params import KernelConfig
 from repro.obs.metrics import Counter, Gauge, Histogram
@@ -141,6 +141,7 @@ class SelectionService:
         # Breaker *state* (as opposed to its counters) stays plain: the
         # half-open probe logic reads it on the hot path.
         self._breaker_open = False
+        self._breaker_watchers: Tuple[Callable[[], None], ...] = ()
         self._consecutive_errors = 0
         self._open_misses = 0
         self._last_good: Optional[KernelConfig] = None
@@ -202,24 +203,37 @@ class SelectionService:
     def breaker_open(self) -> bool:
         """Whether the circuit breaker is currently open.
 
-        A cheap health probe for routing layers — unlike :meth:`stats`
-        it does not build a full snapshot.
+        A cheap health probe for routing layers: a plain read of a flag
+        only ever written under the lock (a lone bool read is atomic,
+        and the flag may flip the instant after any probe anyway).
+        """
+        return self._breaker_open
+
+    def watch_breaker(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` after every breaker transition.
+
+        It runs under the service lock right after the flag flips, so it
+        must not call back into this service.  The fleet router uses it
+        to rebuild its cached healthy rotation.
         """
         with self._lock:
-            return self._breaker_open
+            self._breaker_watchers += (callback,)
 
     # -- serving APIs --------------------------------------------------------
 
-    def select(self, shape: GemmShape) -> KernelConfig:
+    def select(self, shape: GemmShape, key: Optional[_Key] = None) -> KernelConfig:
         """The configuration for one shape, memoised.
 
         Warm hits are answered from the snapshot dict without taking
         the service lock; misses coordinate through the in-flight table
         (:meth:`_resolve_one`) so each unique shape consults the policy
-        exactly once even under contention.
+        exactly once even under contention.  ``key`` is
+        ``shape.as_tuple()``, passed by a caller that already built it
+        (the adaptive wrapper's warm path).
         """
         start = time.perf_counter()
-        key = shape.as_tuple()
+        if key is None:
+            key = shape.as_tuple()
         config = self._snapshot.get(key)
         if config is None:
             config = self._resolve_one(shape, key)
@@ -367,9 +381,8 @@ class SelectionService:
             )
             for metric in owned:
                 metric.reset()
-            self._breaker_open = False
+            self._set_breaker(False)
             self._consecutive_errors = 0
-            self._open_misses = 0
             self._last_good = None
 
     def reset_breaker(self) -> None:
@@ -379,10 +392,8 @@ class SelectionService:
         consecutive-error streak reset.
         """
         with self._lock:
-            self._breaker_open = False
-            self._g_breaker_open.set(0.0)
+            self._set_breaker(False)
             self._consecutive_errors = 0
-            self._open_misses = 0
 
     # -- internals -----------------------------------------------------------
 
@@ -556,9 +567,7 @@ class SelectionService:
     def _note_policy_success(self, key: _Key, config: KernelConfig) -> None:
         self._consecutive_errors = 0
         if self._breaker_open:
-            self._breaker_open = False
-            self._g_breaker_open.set(0.0)
-            self._open_misses = 0
+            self._set_breaker(False)
         self._last_good = config
         self._insert(key, config)
 
@@ -569,10 +578,20 @@ class SelectionService:
             not self._breaker_open
             and self._consecutive_errors >= self._breaker_threshold
         ):
-            self._breaker_open = True
-            self._g_breaker_open.set(1.0)
+            self._set_breaker(True)
             self._c_breaker_trips.inc()
-            self._open_misses = 0
+
+    def _set_breaker(self, is_open: bool) -> None:
+        """Move the breaker to ``is_open``; the caller holds the lock.
+
+        Watchers hear only real transitions.
+        """
+        self._g_breaker_open.set(1.0 if is_open else 0.0)
+        self._open_misses = 0
+        if is_open != self._breaker_open:
+            self._breaker_open = is_open
+            for watcher in self._breaker_watchers:
+                watcher()
 
     def _serve_degraded(self, exc: Optional[BaseException]) -> KernelConfig:
         config = self._last_good if self._last_good is not None else self._fallback

@@ -1,5 +1,6 @@
 """Metrics primitives and registry: semantics, boundaries, thread safety."""
 
+import sys
 import threading
 
 import pytest
@@ -32,6 +33,42 @@ class TestCounter:
         c = Counter()
         c.inc(3)
         c.reset()
+        assert c.value == 0
+
+
+class TestCounterTick:
+    def test_ticks_and_incs_mix_exactly(self):
+        c = Counter()
+        for i in range(10):
+            c.tick()
+            if i % 3 == 0:
+                c.inc(5)
+        c.tick()
+        assert c.value == 11 + 4 * 5
+
+    def test_reads_do_not_count(self):
+        c = Counter()
+        c.tick()
+        c.tick()
+        assert [c.value for _ in range(5)] == [2] * 5
+        assert c.snapshot() == {"value": 2}
+        c.tick()
+        assert c.value == 3
+
+    def test_reset_absorbs_pending_ticks(self):
+        c = Counter()
+        for _ in range(7):
+            c.tick()
+        c.inc(2)
+        c.reset()
+        assert c.value == 0
+        c.tick()
+        assert c.value == 1
+
+    def test_null_counter_tick_is_a_no_op(self):
+        c = NULL_REGISTRY.counter("c")
+        for _ in range(3):
+            c.tick()
         assert c.value == 0
 
 
@@ -207,6 +244,34 @@ class TestThreadSafety:
         assert histogram.count == self.N_THREADS * self.N_INCS
         assert sum(histogram.bucket_counts()) == histogram.count
         assert gauge.value == self.N_THREADS - 1
+
+    def test_concurrent_ticks_lose_no_updates(self):
+        counter = Counter()
+        barrier = threading.Barrier(self.N_THREADS)
+        n_ticks = 10_000
+
+        def ticker() -> None:
+            tick = counter.tick
+            barrier.wait()
+            for i in range(n_ticks):
+                tick()
+                if i % 1000 == 0:
+                    counter.value  # folds race with the other tickers
+
+        threads = [
+            threading.Thread(target=ticker) for _ in range(self.N_THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counter.value == self.N_THREADS * n_ticks
 
     def test_concurrent_get_or_create_yields_one_instance(self):
         reg = MetricsRegistry()

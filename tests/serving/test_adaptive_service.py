@@ -127,6 +127,29 @@ class TestAdmission:
         assert stats.admission_misses == 2
         assert stats.requests == 7
 
+    def test_registry_reset_zeroes_warm_hits(self):
+        service = make_service(threshold=2)
+        admit(service, SHAPE)
+        for _ in range(10):
+            service.select(SHAPE)
+        service.registry.reset()
+        assert service.adaptive_stats().admission_hits == 0
+        for _ in range(3):
+            service.select(SHAPE)
+        assert service.adaptive_stats().admission_hits == 3
+
+    def test_exported_snapshot_counts_warm_hits(self):
+        service = make_service(threshold=2)
+        admit(service, SHAPE)
+        for _ in range(10):
+            service.select(SHAPE)
+        counters = {
+            entry["name"]: entry["value"]
+            for entry in service.registry.snapshot()["counters"]
+        }
+        assert counters["adaptive.admission_hits"] == 10
+        assert counters["adaptive.admission_misses"] == 2
+
     def test_unadmitted_record_keeps_no_state(self):
         service = make_service(threshold=2)
         service.select(SHAPE)
@@ -136,6 +159,17 @@ class TestAdmission:
 
 
 class TestWarmPath:
+    def test_warm_select_hits_the_inner_memo(self):
+        # The warm path builds the shape key itself and hands it down:
+        # it must be the key the inner service memoised the shape under.
+        service = make_service(threshold=1)
+        service.select(OTHER_SHAPE)
+        before = service.service.stats()
+        assert service.select(OTHER_SHAPE) == BASE
+        after = service.service.stats()
+        assert after.cache_hits - before.cache_hits == 1
+        assert after.cache_size == 1
+
     def test_trial_is_served_exactly_once(self):
         service = make_service(trial_fraction=1.0)
         admit(service, SHAPE)
