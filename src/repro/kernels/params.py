@@ -139,11 +139,15 @@ def config_space(
     return configs
 
 
+_TILE_INDEX = {v: i for i, v in enumerate(TILE_SIZES)}
+_WG_INDEX = {w: i for i, w in enumerate(WORK_GROUP_SHAPES)}
+
+
 def config_index(config: KernelConfig) -> int:
     """Index of ``config`` in the canonical :func:`config_space` order."""
+    ti = _TILE_INDEX
+    wi = _WG_INDEX
     try:
-        ti = {v: i for i, v in enumerate(TILE_SIZES)}
-        wi = {w: i for i, w in enumerate(WORK_GROUP_SHAPES)}
         return (
             (ti[config.acc] * len(TILE_SIZES) + ti[config.rows]) * len(TILE_SIZES)
             + ti[config.cols]

@@ -13,7 +13,10 @@ machinery a production dispatch path needs:
 * misses resolved *outside* the service lock: concurrent misses for the
   same shape coordinate through an in-flight table so the policy runs
   at most once per unique shape, and one slow policy call never
-  serializes unrelated hits;
+  serializes unrelated hits.  Each in-flight entry is a latch, a plain
+  :class:`threading.Lock` its owner holds until the answer is cached
+  (or degraded); waiters block by acquiring and at once releasing it,
+  so an uncontended miss allocates one lock and nothing else;
 * batch and single-query APIs, routing misses through the policy's
   vectorized ``select_batch`` when it has one;
 * observability through :mod:`repro.obs`: hit/miss/fallback/breaker
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from threading import Event, Lock
+from threading import Lock
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.kernels.params import KernelConfig
@@ -60,6 +63,15 @@ class SelectionService:
     Policy evaluation always happens *outside* the lock with a
     double-checked insert, except the circuit breaker's half-open
     probes, which stay serialized to keep the probe schedule exact.
+    Each in-flight key maps to a latch: a :class:`threading.Lock` the
+    owning thread acquires when it registers the key and releases
+    exactly once, after it has dropped the registration, on every
+    exit (answer, degraded answer, exception).  Waiters pass through
+    it (``with latch: pass``) and then re-check the cache.  The miss
+    path bumps its counters with lock-free :meth:`Counter.tick
+    <repro.obs.Counter.tick>` while it holds the service lock anyway,
+    so :meth:`clear`, which resets them under the same lock, never
+    splits a count.
 
     ``registry`` is the :class:`~repro.obs.MetricsRegistry` the service
     writes its metrics into (a private one when omitted; pass
@@ -116,9 +128,9 @@ class SelectionService:
         # Read-mostly mirror of the LRU's contents for the lock-free
         # fast path; mutated only under the lock, replaced on clear().
         self._snapshot: Dict[_Key, KernelConfig] = {}
-        # Misses being resolved right now: key -> event the resolving
-        # thread sets once the answer is cached (or degraded).
-        self._inflight: Dict[_Key, Event] = {}
+        # Misses being resolved right now: key -> latch the resolving
+        # thread holds until the answer is cached (or degraded).
+        self._inflight: Dict[_Key, Lock] = {}
         self._lock = Lock()
         self._registry = registry if registry is not None else MetricsRegistry()
         self._name = name
@@ -263,8 +275,8 @@ class SelectionService:
         start = time.perf_counter()
         shapes = tuple(shapes)
         keys = [shape.as_tuple() for shape in shapes]
-        owned: List[Tuple[GemmShape, _Key, Event]] = []
-        waiting: List[Tuple[GemmShape, _Key, Event]] = []
+        owned: List[Tuple[GemmShape, _Key, Lock]] = []
+        waiting: List[Tuple[GemmShape, _Key, Lock]] = []
         with self._lock:
             self._c_batch.inc()
             self._c_lookups.inc(len(shapes))
@@ -291,13 +303,12 @@ class SelectionService:
                     # breaker's own probe schedule touches the policy.
                     resolved[key] = self._resolve_miss(shape)
                 else:
-                    event = self._inflight.get(key)
-                    if event is None:
-                        event = Event()
-                        self._inflight[key] = event
-                        owned.append((shape, key, event))
+                    latch = self._inflight.get(key)
+                    if latch is None:
+                        latch = self._register(key)
+                        owned.append((shape, key, latch))
                     else:
-                        waiting.append((shape, key, event))
+                        waiting.append((shape, key, latch))
             # Repeats of a key within the batch count as hits: only the
             # first occurrence of a missing shape pays the policy.
             hits += len(shapes) - len(seen)
@@ -305,8 +316,8 @@ class SelectionService:
 
         if owned:
             resolved.update(self._resolve_owned_batch(owned))
-        for shape, key, event in waiting:
-            resolved[key] = self._resolve_one(shape, key, event, count_call=False)
+        for shape, key, latch in waiting:
+            resolved[key] = self._resolve_one(shape, key, latch, count_call=False)
 
         out = tuple(map(resolved.__getitem__, keys))
         duration = time.perf_counter() - start
@@ -401,7 +412,7 @@ class SelectionService:
         self,
         shape: GemmShape,
         key: _Key,
-        event: Optional[Event] = None,
+        latch: Optional[Lock] = None,
         *,
         count_call: bool = True,
     ) -> KernelConfig:
@@ -409,53 +420,53 @@ class SelectionService:
 
         At most one thread per key consults the policy: the first to
         register the key in the in-flight table resolves it outside the
-        lock while later arrivals wait on its event and re-check the
-        cache (a degraded answer is not memoised, so the next waiter
-        becomes the new resolver).  ``event`` is a known in-flight
-        event to wait on before the first check; ``count_call`` is
+        lock while later arrivals pass through its latch and re-check
+        the cache (a degraded answer is not memoised, so the next waiter
+        becomes the new resolver).  ``latch`` is a known in-flight
+        latch to wait on before the first check; ``count_call`` is
         False when a surrounding batch call already counted this
         query's lookup.
         """
         while True:
-            if event is not None:
-                event.wait()
+            if latch is not None:
+                with latch:
+                    pass
             with self._lock:
                 cached = self._cache.get(key)
                 if cached is not None:
                     # Hit and lookup are counted in one critical section
                     # so a concurrent clear() cannot split them.
-                    self._c_hits.inc()
+                    self._c_hits.tick()
                     if count_call:
-                        self._c_single.inc()
-                        self._c_lookups.inc()
+                        self._c_single.tick()
+                        self._c_lookups.tick()
                     self._cache.move_to_end(key)
                     return cached
                 if self._breaker_open:
                     if count_call:
-                        self._c_single.inc()
-                        self._c_lookups.inc()
+                        self._c_single.tick()
+                        self._c_lookups.tick()
                     return self._resolve_miss(shape)
-                event = self._inflight.get(key)
-                if event is None:
-                    event = Event()
-                    self._inflight[key] = event
+                latch = self._inflight.get(key)
+                if latch is None:
+                    latch = self._register(key)
                     break
-        return self._resolve_owned(shape, key, event, count_call=count_call)
+        return self._resolve_owned(shape, key, latch, count_call=count_call)
 
     def _resolve_owned(
         self,
         shape: GemmShape,
         key: _Key,
-        event: Event,
+        latch: Lock,
         *,
         count_call: bool = True,
     ) -> KernelConfig:
         """Consult the policy for a key this thread owns in-flight.
 
         The policy call runs outside the lock; result accounting and
-        the double-checked cache insert happen under it.  The in-flight
-        event is always released — whatever the policy raises — so
-        waiters can never deadlock.
+        the double-checked cache insert happen under it.  The latch is
+        released exactly once — whatever the policy raises — so waiters
+        can never deadlock.
         """
         done = False
         try:
@@ -464,24 +475,24 @@ class SelectionService:
         except Exception as exc:
             with self._lock:
                 if count_call:
-                    self._c_single.inc()
-                    self._c_lookups.inc()
+                    self._c_single.tick()
+                    self._c_lookups.tick()
                 self._note_policy_error()
                 return self._serve_degraded(exc)
         finally:
             with self._lock:
-                if self._inflight.get(key) is event:
+                if self._inflight.get(key) is latch:
                     del self._inflight[key]
                 if done:
                     if count_call:
-                        self._c_single.inc()
-                        self._c_lookups.inc()
+                        self._c_single.tick()
+                        self._c_lookups.tick()
                     self._note_policy_success(key, config)
-            event.set()
+            latch.release()
         return config
 
     def _resolve_owned_batch(
-        self, owned: List[Tuple[GemmShape, _Key, Event]]
+        self, owned: List[Tuple[GemmShape, _Key, Lock]]
     ) -> Dict[_Key, KernelConfig]:
         """Resolve the batch misses this thread registered in-flight.
 
@@ -511,39 +522,50 @@ class SelectionService:
                         f"{len(miss_shapes)} miss shapes"
                     )
                 with self._lock:
-                    for (shape, key, event), config in zip(owned, configs):
-                        if self._inflight.get(key) is event:
+                    for (shape, key, latch), config in zip(owned, configs):
+                        if self._inflight.get(key) is latch:
                             del self._inflight[key]
                         self._note_policy_success(key, config)
-                        event.set()
+                        latch.release()
                 return {
                     key: config
                     for (_, key, _), config in zip(owned, configs)
                 }
         resolved: Dict[_Key, KernelConfig] = {}
-        for index, (shape, key, event) in enumerate(owned):
+        for index, (shape, key, latch) in enumerate(owned):
             try:
                 resolved[key] = self._resolve_owned(
-                    shape, key, event, count_call=False
+                    shape, key, latch, count_call=False
                 )
             except BaseException:
                 self._release(owned[index + 1 :])
                 raise
         return resolved
 
-    def _release(self, entries: List[Tuple[GemmShape, _Key, Event]]) -> None:
+    def _register(self, key: _Key) -> Lock:
+        """Register ``key`` in-flight, owned by this thread.
+
+        Caller holds the service lock.  The returned latch is held; its
+        owner releases it exactly once.
+        """
+        latch = Lock()
+        latch.acquire()
+        self._inflight[key] = latch
+        return latch
+
+    def _release(self, entries: List[Tuple[GemmShape, _Key, Lock]]) -> None:
         """Drop in-flight registrations owned by this thread and wake waiters.
 
-        Identity-checked so a double release can never pop a
-        registration some other thread has since taken over.
+        Identity-checked so a stale entry can never pop a registration
+        some other thread has since taken over.
         """
         if not entries:
             return
         with self._lock:
-            for _, key, event in entries:
-                if self._inflight.get(key) is event:
+            for _, key, latch in entries:
+                if self._inflight.get(key) is latch:
                     del self._inflight[key]
-                event.set()
+                latch.release()
 
     def _resolve_miss(self, shape: GemmShape) -> KernelConfig:
         """Answer one cache miss, applying breaker/fallback semantics.
@@ -606,15 +628,22 @@ class SelectionService:
         return config
 
     def _insert(self, key: _Key, config: KernelConfig) -> None:
-        self._cache[key] = config
-        self._cache.move_to_end(key)
+        """Memoise ``key`` as most recent; the caller holds the lock."""
+        cache = self._cache
+        # A fresh key lands at the end already; only a key a breaker
+        # probe inserted meanwhile needs moving.
+        if key in cache:
+            cache.move_to_end(key)
+        cache[key] = config
         self._snapshot[key] = config
         evicted = 0
-        while len(self._cache) > self._capacity:
-            old_key, _ = self._cache.popitem(last=False)
+        while len(cache) > self._capacity:
+            old_key, _ = cache.popitem(last=False)
             self._snapshot.pop(old_key, None)
             evicted += 1
-        if evicted:
+        if evicted == 1:
+            self._c_evictions.tick()
+        elif evicted:
             self._c_evictions.inc(evicted)
 
     def __repr__(self) -> str:

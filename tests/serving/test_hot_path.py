@@ -7,6 +7,9 @@ These tests pin the serving-layer guarantees the load harness leans on:
 * concurrent misses for one shape consult the policy exactly once;
 * a policy whose ``select_batch`` returns the wrong number of configs
   raises a clear contract error instead of mis-zipping answers;
+* every in-flight latch is released on every owner exit, so parked
+  waiters always wake, and an uncontended miss builds no
+  ``threading.Event``;
 * batch lookup latency is weighted by query count (``observe_n``);
 * the snapshot dict mirrors LRU membership through inserts/evictions.
 """
@@ -61,6 +64,74 @@ class _ShortBatchPolicy(_CountingPolicy):
 
     def select_batch(self, shapes):
         return tuple(self.answer for _ in shapes)[:-1]
+
+
+class _FailFirstPolicy(_GatedPolicy):
+    """Blocks on the gate and raises on its first call only.
+
+    Records the thread behind every call so a test can tell who
+    consulted the policy.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.callers = []
+
+    def select(self, shape):
+        with self._lock:
+            self.callers.append(threading.current_thread().name)
+            first = len(self.callers) == 1
+        if first:
+            self.entered.set()
+            if not self.gate.wait(timeout=5.0):
+                raise RuntimeError("test gate never opened")
+            raise RuntimeError("first call fails")
+        return _CountingPolicy.select(self, shape)
+
+
+class _GatedShortBatchPolicy(_ShortBatchPolicy):
+    """Short-returns from select_batch once the test opens the gate."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def select_batch(self, shapes):
+        self.entered.set()
+        if not self.gate.wait(timeout=5.0):
+            raise RuntimeError("test gate never opened")
+        return super().select_batch(shapes)
+
+
+class _WatchedInflight(dict):
+    """An in-flight table that counts lookups of one key.
+
+    A waiter finds the owner's latch here just before it parks on it,
+    so the count tells a test when its waiters are about to park.
+    """
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+        self.gets = 0
+        self.cond = threading.Condition()
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if key == self.key and found is not None:
+            with self.cond:
+                self.gets += 1
+                self.cond.notify_all()
+        return found
+
+    def wait_for_gets(self, n, timeout=5.0):
+        with self.cond:
+            return self.cond.wait_for(lambda: self.gets >= n, timeout=timeout)
+
+
+def _no_event(*args, **kwargs):
+    raise AssertionError("an uncontended miss built a threading.Event")
 
 
 class TestLockFreeHits:
@@ -133,6 +204,111 @@ class TestLockFreeHits:
         service = SelectionService(policy)
         service.select_batch([shape(i) for i in range(6)])
         service.select(shape(7))
+        assert service._inflight == {}
+
+
+class TestInflightLatch:
+    def test_waiters_wake_when_owner_policy_raises(self):
+        policy = _FailFirstPolicy()
+        service = SelectionService(policy)
+        target = shape(2)
+        inflight = _WatchedInflight(target.as_tuple())
+        service._inflight = inflight
+        owner_error = []
+        answers = []
+
+        def owner():
+            try:
+                service.select(target)
+            except RuntimeError as exc:
+                owner_error.append(exc)
+
+        def waiter():
+            answers.append(service.select(target))
+
+        owner_thread = threading.Thread(target=owner, name="owner", daemon=True)
+        owner_thread.start()
+        assert policy.entered.wait(timeout=2.0)
+        waiters = [
+            threading.Thread(target=waiter, name=f"waiter-{i}", daemon=True)
+            for i in range(4)
+        ]
+        for t in waiters:
+            t.start()
+        try:
+            # Each waiter fetched the owner's latch; give them a moment
+            # to park on it.
+            assert inflight.wait_for_gets(4)
+            time.sleep(0.05)
+        finally:
+            policy.gate.set()
+        for t in [owner_thread, *waiters]:
+            t.join(timeout=5.0)
+            assert not t.is_alive(), f"{t.name} never woke"
+
+        assert [str(exc) for exc in owner_error] == ["first call fails"]
+        assert answers == [ANSWER] * 4
+        assert len(policy.callers) == 2
+        assert policy.callers[0] == "owner"
+        assert policy.callers[1].startswith("waiter-")
+        assert service._inflight == {}
+        stats = service.stats()
+        assert stats.lookups == 5
+        assert stats.cache_hits == 3
+        assert stats.policy_errors == 1
+
+    def test_single_waiter_wakes_on_batch_contract_violation(self):
+        policy = _GatedShortBatchPolicy()
+        service = SelectionService(policy)
+        target = shape(0)
+        inflight = _WatchedInflight(target.as_tuple())
+        service._inflight = inflight
+        batch_error = []
+        single = []
+
+        def batch():
+            try:
+                service.select_batch([target, shape(1)])
+            except ValueError as exc:
+                batch_error.append(exc)
+
+        batch_thread = threading.Thread(target=batch, daemon=True)
+        batch_thread.start()
+        assert policy.entered.wait(timeout=2.0)
+        single_thread = threading.Thread(
+            target=lambda: single.append(service.select(target)), daemon=True
+        )
+        single_thread.start()
+        try:
+            assert inflight.wait_for_gets(1)
+            time.sleep(0.05)
+        finally:
+            policy.gate.set()
+        batch_thread.join(timeout=5.0)
+        single_thread.join(timeout=5.0)
+        assert not single_thread.is_alive(), "parked select never woke"
+
+        assert len(batch_error) == 1
+        assert "_GatedShortBatchPolicy" in str(batch_error[0])
+        # The waiter resolved the key itself, through the scalar path.
+        assert single == [ANSWER]
+        assert policy.calls == 1
+        assert service._inflight == {}
+        assert service._cache == {target.as_tuple(): ANSWER}
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_uncontended_miss_builds_no_event(self, monkeypatch, batch):
+        service = SelectionService(_CountingPolicy())
+        # Event() builds a Condition through threading's module global,
+        # so this catches an Event however the service imported it.
+        monkeypatch.setattr(threading, "Event", _no_event)
+        monkeypatch.setattr(threading, "Condition", _no_event)
+        if batch:
+            got = service.select_batch([shape(0), shape(1), shape(0)])
+            assert got == (ANSWER,) * 3
+        else:
+            assert service.select(shape(0)) == ANSWER
+        monkeypatch.undo()
         assert service._inflight == {}
 
 

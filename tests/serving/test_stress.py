@@ -6,6 +6,7 @@ unique shape even under contention, including while the circuit breaker
 is tripping and recovering.
 """
 
+import random
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ CONFIGS = config_space(tile_sizes=(1, 2), work_groups=((8, 8),))
 N_THREADS = 8
 ROUNDS = 40
 SHAPES = tuple(GemmShape(m=8 * (i + 1), k=16, n=16) for i in range(16))
+WIDE_SHAPES = tuple(GemmShape(m=8 * (i + 1), k=16, n=16) for i in range(64))
 
 
 class _CountingPolicy:
@@ -130,6 +132,37 @@ class TestConcurrentServing:
         assert stats.lookups == N_THREADS * ROUNDS
         assert stats.cache_hits + policy.calls == stats.lookups
         assert stats.evictions == policy.calls - stats.cache_size
+
+    def test_mixed_single_and_batch_misses_on_tiny_cache(self):
+        # 64 shapes through 8 slots: nearly every lookup misses, so
+        # owners, waiters and evictions interleave on both paths.
+        policy = _CountingPolicy()
+        service = SelectionService(policy, capacity=8)
+        issued = [0] * N_THREADS
+        wrong = []
+
+        def worker(tid):
+            rng = random.Random(tid)
+            for r in range(ROUNDS):
+                if r % 3 == 0:
+                    batch = [rng.choice(WIDE_SHAPES) for _ in range(12)]
+                    got = service.select_batch(batch)
+                else:
+                    batch = [rng.choice(WIDE_SHAPES)]
+                    got = (service.select(batch[0]),)
+                issued[tid] += len(batch)
+                wrong.extend(
+                    s for s, c in zip(batch, got) if c != CONFIGS[s.m % len(CONFIGS)]
+                )
+
+        hammer(worker)
+        stats = service.stats()
+        assert wrong == []
+        assert stats.lookups == sum(issued)
+        assert policy.calls == stats.lookups - stats.cache_hits
+        assert stats.evictions == policy.calls - stats.cache_size
+        assert stats.cache_size == 8
+        assert service._inflight == {}
 
     def test_degradation_under_concurrent_failures(self):
         policy = _SometimesFailingPolicy()
