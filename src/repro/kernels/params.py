@@ -145,13 +145,12 @@ _WG_INDEX = {w: i for i, w in enumerate(WORK_GROUP_SHAPES)}
 
 def config_index(config: KernelConfig) -> int:
     """Index of ``config`` in the canonical :func:`config_space` order."""
-    ti = _TILE_INDEX
-    wi = _WG_INDEX
     try:
         return (
-            (ti[config.acc] * len(TILE_SIZES) + ti[config.rows]) * len(TILE_SIZES)
-            + ti[config.cols]
-        ) * len(WORK_GROUP_SHAPES) + wi[(config.wg_rows, config.wg_cols)]
+            (_TILE_INDEX[config.acc] * len(TILE_SIZES) + _TILE_INDEX[config.rows])
+            * len(TILE_SIZES)
+            + _TILE_INDEX[config.cols]
+        ) * len(WORK_GROUP_SHAPES) + _WG_INDEX[(config.wg_rows, config.wg_cols)]
     except KeyError:
         raise ValueError(
             f"{config} is not part of the canonical configuration space"

@@ -636,15 +636,11 @@ class SelectionService:
             cache.move_to_end(key)
         cache[key] = config
         self._snapshot[key] = config
-        evicted = 0
-        while len(cache) > self._capacity:
+        # One insert adds at most one key, so at most one falls out.
+        if len(cache) > self._capacity:
             old_key, _ = cache.popitem(last=False)
             self._snapshot.pop(old_key, None)
-            evicted += 1
-        if evicted == 1:
             self._c_evictions.tick()
-        elif evicted:
-            self._c_evictions.inc(evicted)
 
     def __repr__(self) -> str:
         return (

@@ -23,6 +23,11 @@ SHAPES = tuple(GemmShape(m=8 * (i + 1), k=16, n=16) for i in range(16))
 WIDE_SHAPES = tuple(GemmShape(m=8 * (i + 1), k=16, n=16) for i in range(64))
 
 
+def expected(shape):
+    """The config every test policy picks for ``shape``: differs per shape."""
+    return CONFIGS[(shape.m // 8) % len(CONFIGS)]
+
+
 class _CountingPolicy:
     """Thread-safe policy that records every consultation."""
 
@@ -35,7 +40,7 @@ class _CountingPolicy:
         with self._lock:
             self.calls += 1
             self.shapes_seen.add(shape)
-        return CONFIGS[shape.m % len(CONFIGS)]
+        return expected(shape)
 
     def select_batch(self, shapes):
         return tuple(self.select(s) for s in shapes)
@@ -51,7 +56,7 @@ class _SometimesFailingPolicy(_CountingPolicy):
             fail = self.calls % 3 == 0
         if fail:
             raise DeviceError("intermittent backend error")
-        return CONFIGS[shape.m % len(CONFIGS)]
+        return expected(shape)
 
 
 def hammer(worker, n_threads=N_THREADS):
@@ -115,7 +120,7 @@ class TestConcurrentServing:
 
         hammer(worker)
         assert len(set(results)) == 1
-        want = tuple(CONFIGS[s.m % len(CONFIGS)] for s in SHAPES)
+        want = tuple(expected(s) for s in SHAPES)
         assert results[0] == want
 
     def test_tiny_cache_evictions_stay_consistent(self):
@@ -151,9 +156,7 @@ class TestConcurrentServing:
                     batch = [rng.choice(WIDE_SHAPES)]
                     got = (service.select(batch[0]),)
                 issued[tid] += len(batch)
-                wrong.extend(
-                    s for s, c in zip(batch, got) if c != CONFIGS[s.m % len(CONFIGS)]
-                )
+                wrong.extend(s for s, c in zip(batch, got) if c != expected(s))
 
         hammer(worker)
         stats = service.stats()
@@ -206,4 +209,4 @@ class TestConcurrentServing:
         assert stats.cache_hits <= stats.lookups
         assert stats.cache_size <= len(SHAPES)
         # Service still serves correctly after the dust settles.
-        assert service.select(SHAPES[0]) == CONFIGS[SHAPES[0].m % len(CONFIGS)]
+        assert service.select(SHAPES[0]) == expected(SHAPES[0])
