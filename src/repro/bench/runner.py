@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.failures import FailureLog, FailureRecord
 from repro.bench.stats import TimingSummary, summarize_times
-from repro.bench.parallel import parallel_map
+from repro.bench.parallel import _MIN_PARALLEL_ITEMS, parallel_map
 from repro.kernels.params import KernelConfig, config_space
 from repro.perfmodel.model import GemmPerfModel
 from repro.perfmodel.params import PerfModelParams
@@ -88,41 +88,48 @@ class BenchmarkResult:
         return int(np.isnan(self.gflops).sum())
 
 
-def _bench_one_shape(
-    shape: GemmShape,
+#: Shapes per ``measured_times_block`` call.  A call's transient arrays
+#: grow with its shapes (the noise grid alone is ~26 KiB per shape at
+#: 640 configs x 5 iterations), so a sweep of any length holds at most
+#: one chunk's worth.
+CHUNK_SHAPES = 16
+
+
+def _bench_shapes(
+    shapes: Sequence[GemmShape],
     *,
     configs: Sequence[KernelConfig],
     model: GemmPerfModel,
     runner: RunnerConfig,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureRecord, ...]]:
-    """All configs for one shape; module-level for process-pool pickling.
+    """All configs for a chunk of shapes; module-level so the process
+    pool can pickle it.
 
-    A model with ``measured_times_block`` measures the whole row in one
-    call; a row it returns as NaN is a cell deferred to the per-cell
-    path, which is also the only path for models without a block method.
-    The per-cell path retries a cell that raised a
+    A model with ``measured_times_block`` measures the whole
+    (shape x config) window in one call; a cell it returns as NaN is
+    deferred to the per-cell path, which is also the only path for
+    models without a block method.  The per-cell path visits cells
+    shape by shape, in config order, and retries a cell that raised a
     :class:`~repro.sycl.exceptions.SyclError`.
     """
-    n = len(configs)
-    seconds = np.full(n, np.nan)
+    seconds = np.full((len(shapes), len(configs)), np.nan)
     failures: list = []
+    pending: Iterable[Tuple[int, ...]] = np.ndindex(seconds.shape)
     block = getattr(model, "measured_times_block", None)
     if block is not None:
         # Warm-up iterations are discarded: they model JIT/cache warming.
         times = block(
-            shape,
+            shapes,
             configs,
             iterations=runner.timed_iterations,
             start_iteration=runner.warmup_iterations,
         )
         # Only the mean enters the dataset; the full summary is reserved
         # for bench_single's detailed view.
-        seconds = times.mean(axis=1)
-        pending = np.flatnonzero(np.isnan(seconds)).tolist()
-    else:
-        pending = range(n)
-    for ci in pending:
-        config = configs[ci]
+        seconds = times.mean(axis=2)
+        pending = zip(*np.nonzero(np.isnan(seconds)))
+    for si, ci in pending:
+        shape, config = shapes[si], configs[ci]
         times = None
         for attempt in range(runner.max_retries + 1):
             try:
@@ -151,10 +158,11 @@ def _bench_one_shape(
                     )
                 )
         if times is not None:
-            seconds[ci] = times.mean()
+            seconds[si, ci] = times.mean()
         # Otherwise retries are exhausted: skip-and-record, the cell
         # stays NaN.
-    gflops = shape.flops / seconds / 1e9
+    flops = np.array([shape.flops for shape in shapes], dtype=np.float64)
+    gflops = flops[:, None] / seconds / 1e9
     return gflops, seconds, tuple(failures)
 
 
@@ -173,8 +181,8 @@ class BenchmarkRunner:
         """``model`` overrides the default dense GEMM model — anything
         with ``measured_times_seconds(shape, config, iterations=...,
         start_iteration=...)`` works (e.g. the sparse model); one that
-        also has ``measured_times_block(shape, configs, ...)`` is swept
-        a whole row per call."""
+        also has ``measured_times_block(shapes, configs, ...)`` is swept
+        a (shape x config) window of ``CHUNK_SHAPES`` shapes per call."""
         self._device = device
         self._configs = tuple(configs) if configs is not None else tuple(config_space())
         self._runner_config = runner_config or RunnerConfig()
@@ -209,9 +217,10 @@ class BenchmarkRunner:
     ) -> BenchmarkResult:
         """Benchmark every configuration on every shape.
 
-        ``max_workers > 1`` distributes shapes over a process pool; the
-        counter-based noise makes the result bit-identical regardless of
-        worker count.
+        Shapes are measured in chunks of ``CHUNK_SHAPES``.
+        ``max_workers > 1`` distributes the chunks over a process pool
+        once there are enough shapes to pay for it; the counter-based
+        noise makes the result bit-identical regardless of worker count.
 
         A cell whose measurement raises a
         :class:`~repro.sycl.exceptions.SyclError` is retried up to
@@ -222,12 +231,21 @@ class BenchmarkRunner:
         if not shapes:
             raise ValueError("shapes must be non-empty")
         fn = partial(
-            _bench_one_shape,
+            _bench_shapes,
             configs=self._configs,
             model=self._model,
             runner=self._runner_config,
         )
-        rows = parallel_map(fn, shapes, max_workers=max_workers)
+        chunks = [
+            shapes[lo : lo + CHUNK_SHAPES]
+            for lo in range(0, len(shapes), CHUNK_SHAPES)
+        ]
+        # The pool's break-even point counts shapes, not chunks.
+        if len(shapes) < _MIN_PARALLEL_ITEMS:
+            max_workers = 1
+        rows = parallel_map(
+            fn, chunks, max_workers=max_workers, chunksize=1, min_parallel_items=1
+        )
         gflops = np.vstack([r[0] for r in rows])
         seconds = np.vstack([r[1] for r in rows])
         failures = FailureLog()

@@ -9,7 +9,7 @@ both the deterministic expected time and noisy "measured" times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.perfmodel.compute import (
     latency_hiding,
 )
 from repro.perfmodel.memory import MemoryTraffic, memory_traffic
-from repro.perfmodel.noise import measurement_noise_factor, noise_block, noise_factors
+from repro.perfmodel.noise import measurement_noise_factor, noise_factors, noise_grid
 from repro.perfmodel.occupancy import OccupancyResult, occupancy_for
 from repro.perfmodel.params import PerfModelParams
 from repro.perfmodel.table import ConfigTable
@@ -118,7 +118,7 @@ class GemmPerfModel:
         # memoise them: dataset generation evaluates 640 configs x many
         # shapes and this removes the dominant repeated work.
         self._static_cache: dict = {}
-        # Whole-row evaluation reads the sweep's configs as one table,
+        # Whole-window evaluation reads the sweep's configs as one table,
         # built on first use: constructing it costs more than a model
         # that is only ever asked about single cells needs to pay.
         self._table: Optional[ConfigTable] = None
@@ -317,7 +317,7 @@ class GemmPerfModel:
         times = self.measured_times_seconds(shape, config, iterations=iterations)
         return shape.flops / float(np.mean(times)) / 1e9
 
-    # -- whole-row evaluation -------------------------------------------------
+    # -- whole-window evaluation ---------------------------------------------
 
     def times(
         self, shape: GemmShape, configs: Sequence[KernelConfig]
@@ -327,36 +327,37 @@ class GemmPerfModel:
         One NumPy pass over the config axis; element ``i`` equals
         ``time_seconds(shape, configs[i])`` bit for bit.
         """
-        return self._row_times(shape, self._config_table(configs))
+        return self._grid_times((shape,), self._config_table(configs))[0]
 
     def measured_times_block(
         self,
-        shape: GemmShape,
+        shapes: Sequence[GemmShape],
         configs: Sequence[KernelConfig],
         *,
         iterations: int,
         start_iteration: int = 0,
     ) -> np.ndarray:
-        """Noisy measurements of every config on ``shape``.
+        """Noisy measurements of every config on every shape.
 
-        Returns a ``(len(configs), iterations)`` array whose row ``i``
-        equals ``measured_times_seconds(shape, configs[i], ...)`` bit for
-        bit — one sweep row in one pass.
+        Returns a ``(len(shapes), len(configs), iterations)`` array whose
+        entry ``[s, i]`` equals ``measured_times_seconds(shapes[s],
+        configs[i], ...)`` bit for bit — a window of sweep rows in one
+        (shape x config) pass.
         """
         table = self._config_table(configs)
-        factors = noise_block(
+        factors = noise_grid(
             self._seed,
-            shape,
+            shapes,
             table.index,
             iterations,
             sigma=self._params.noise_sigma,
             start_iteration=start_iteration,
         )
-        return self._row_times(shape, table)[:, None] * factors
+        return self._grid_times(shapes, table)[:, :, None] * factors
 
     def _config_table(self, configs: Sequence[KernelConfig]) -> ConfigTable:
         table = self._table
-        # A sweep passes the same tuple for every shape: identity first.
+        # A sweep passes the same tuple for every window: identity first.
         if table is None or (
             table.configs is not configs and table.configs != tuple(configs)
         ):
@@ -365,16 +366,23 @@ class GemmPerfModel:
             )
         return table
 
-    def _row_times(self, shape: GemmShape, t: ConfigTable) -> np.ndarray:
-        """:meth:`breakdown`'s arithmetic over a config table.
+    def __getstate__(self):
+        # Process-pool workers rebuild the table on first use; a filled
+        # fine-quirk table would ship up to 5 MiB with every task.
+        return {**self.__dict__, "_table": None}
 
-        Every step repeats the scalar expression with the same operand
-        order, so IEEE rounding — and hence every element — matches the
-        scalar model exactly.  Keep the two in step; the differential
-        tests in ``tests/perfmodel`` pin them together.
+    def _grid_times(self, shapes: Sequence[GemmShape], t: ConfigTable) -> np.ndarray:
+        """:meth:`breakdown`'s arithmetic over (shape x config).
+
+        Shape terms are ``(S, 1)`` columns and config terms ``(C,)`` rows,
+        so every ``(S, C)`` element repeats the scalar expression with the
+        same operand order: IEEE rounding — and hence every element —
+        matches the scalar model exactly.  Keep the two in step; the
+        differential tests in ``tests/perfmodel`` pin them together.
         """
         spec, params = self._spec, self._params
-        m, k, n, batch = shape.m, shape.k, shape.n, shape.batch
+        dims = np.array([(s.m, s.k, s.n, s.batch) for s in shapes], dtype=np.int64)
+        m, k, n, batch = (dims[:, j : j + 1] for j in range(4))
         macro_m, macro_n = t.macro_m, t.macro_n
         groups_m = -(-m // macro_m)
         groups_n = -(-n // macro_n)
@@ -399,7 +407,7 @@ class GemmPerfModel:
             total_waves > capacity, rounds * capacity / total_waves, 1.0
         )
 
-        quirk = self._row_quirk(shape, t)
+        quirk = self._grid_quirk(shapes, t)
 
         peak = spec.peak_gflops * 1e9 * spec.sustained_compute_efficiency
         effective_rate = peak * simd_utilization * t.static_total * hiding
@@ -412,17 +420,15 @@ class GemmPerfModel:
         l2_bytes = batch * (groups_m * groups_n * (a_slab + b_slab + c_tile))
         compulsory = batch * (m * k + k * n + m * n) * _FP32
         usable_l2 = params.l2_usable_fraction * spec.l2_bytes
-        resident_fraction = min(1.0, usable_l2 / ((m * k + k * n) * _FP32))
+        resident_fraction = np.minimum(1.0, usable_l2 / ((m * k + k * n) * _FP32))
         dram_bytes = compulsory + (l2_bytes - compulsory) * (1.0 - resident_fraction)
         a_share = a_slab / (a_slab + b_slab + c_tile)
         access = a_share * t.eff_a + (1.0 - a_share) * t.eff_bc
         access = np.maximum(params.min_coalescing_efficiency, access)
-        if (n * _FP32) % 1024 == 0:
-            access = np.where(
-                t.wg_cols <= 2,
-                access * (1.0 - params.channel_camping_penalty),
-                access,
-            )
+        camping = ((n * _FP32) % 1024 == 0) & (t.wg_cols <= 2)
+        access = np.where(
+            camping, access * (1.0 - params.channel_camping_penalty), access
+        )
         bandwidth = (
             spec.dram_bandwidth_gbps
             * 1e9
@@ -439,25 +445,32 @@ class GemmPerfModel:
             + np.maximum(compute_seconds, memory_seconds)
             + 0.15 * np.minimum(compute_seconds, memory_seconds)
         )
-        if resolve_placement(shape) != DataPlacement.HOST.value:
+        host = np.array(
+            [resolve_placement(s) == DataPlacement.HOST.value for s in shapes]
+        )
+        if not host.any():
             return kernel_total
 
-        # transfer_phases over the row: padded panels, per-copy setup,
-        # uploads claiming the overlap budget before readback.
+        # transfer_phases over the host-placed rows: padded panels,
+        # per-copy setup, uploads claiming the overlap budget before
+        # readback.
+        k, batch = k[host], batch[host]
+        groups_m, groups_n = groups_m[host], groups_n[host]
         padded_m = groups_m * macro_m
         padded_n = groups_n * macro_n
         h2d_bytes = _FP32 * batch * (padded_m * k + k * padded_n)
         d2h_bytes = _FP32 * batch * padded_m * padded_n
         h2d_stream = h2d_bytes / (params.h2d_bandwidth_gbps * 1e9)
         d2h_stream = d2h_bytes / (params.d2h_bandwidth_gbps * 1e9)
-        budget = params.transfer_overlap * kernel_total
+        budget = params.transfer_overlap * kernel_total[host]
         h2d_hidden = np.minimum(h2d_stream, budget)
         budget = budget - h2d_hidden
         d2h_hidden = np.minimum(d2h_stream * (1.0 - 1.0 / batch), budget)
         h2d_seconds = batch * (groups_m + groups_n) * params.h2d_overhead_s + h2d_stream
         d2h_seconds = batch * groups_m * params.d2h_overhead_s + d2h_stream
         visible = h2d_seconds + d2h_seconds - (h2d_hidden + d2h_hidden)
-        return kernel_total + visible
+        kernel_total[host] += visible
+        return kernel_total
 
     # -- internals ----------------------------------------------------------
 
@@ -502,30 +515,40 @@ class GemmPerfModel:
         w = self._params.quirk_coarse_weight
         return 1.0 + amplitude * (w * coarse + (1.0 - w) * fine)
 
-    def _row_quirk(self, shape: GemmShape, t: ConfigTable) -> Union[float, np.ndarray]:
-        """:meth:`_quirk` for every config of ``t``: the same SHA-256
-        keys, hashed from the table's pre-encoded per-config prefixes."""
+    def _grid_quirk(
+        self, shapes: Sequence[GemmShape], t: ConfigTable
+    ) -> Union[float, np.ndarray]:
+        """:meth:`_quirk` over (shape x config): the same SHA-256 keys,
+        hashed from the table's pre-encoded per-config prefixes."""
         amplitude = self._params.alignment_penalty
         if amplitude == 0:
             return 1.0
         step = self._params.quirk_coarse_log_step
-        buckets = (
-            int(np.log2(shape.m) / step),
-            int(np.log2(shape.k) / step),
-            int(np.log2(shape.n) / step),
-        )
         # Coarse buckets are few (one per 2**step in each dimension), so
-        # their rows are memoised; the fine residues span 4096 keys, and
-        # a memo of those would add a fifth to a sweep's peak memory.
-        coarse = t.coarse_rows.get(buckets)
-        if coarse is None:
-            coarse_h = derive_seeds(t.coarse_prefixes, *buckets)
-            coarse = t.coarse_rows[buckets] = (
-                (coarse_h % 10_000) / 10_000.0 * 2.0 - 1.0
+        # their rows are memoised by bucket.
+        coarse_rows: List[np.ndarray] = []
+        residues: List[int] = []
+        for shape in shapes:
+            buckets = (
+                int(np.log2(shape.m) / step),
+                int(np.log2(shape.k) / step),
+                int(np.log2(shape.n) / step),
             )
-        fine_h = derive_seeds(
-            t.fine_prefixes, shape.k % 16, shape.n % 32, shape.m % 8
-        )
-        fine = (fine_h % 10_000) / 10_000.0 * 2.0 - 1.0
+            coarse = t.coarse_rows.get(buckets)
+            if coarse is None:
+                coarse_h = derive_seeds(t.coarse_prefixes, *buckets)
+                coarse = t.coarse_rows[buckets] = (
+                    (coarse_h % 10_000) / 10_000.0 * 2.0 - 1.0
+                )
+            coarse_rows.append(coarse)
+            residues.append((shape.k % 16 * 32 + shape.n % 32) * 8 + shape.m % 8)
+        # Fine residue triples are 4096: each is hashed on first sight
+        # into its row of the table and read back afterwards.
+        rows = np.array(residues)
+        for r in np.unique(rows[~t.fine_filled[rows]]).tolist():
+            fine_h = derive_seeds(t.fine_prefixes, r >> 8, (r >> 3) & 31, r & 7)
+            t.fine[r] = fine_h % 10_000
+            t.fine_filled[r] = True
+        fine = t.fine[rows] / 10_000.0 * 2.0 - 1.0
         w = self._params.quirk_coarse_weight
-        return 1.0 + amplitude * (w * coarse + (1.0 - w) * fine)
+        return 1.0 + amplitude * (w * np.array(coarse_rows) + (1.0 - w) * fine)

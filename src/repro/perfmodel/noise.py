@@ -13,9 +13,9 @@ the factor is ``exp(sigma * z)``.  Factors are therefore independent of
 call order, of how many iterations are requested and of which other
 configs share the call, so dataset generation is deterministic,
 order-independent and safely parallelisable (the HPC guide's determinism
-idiom), and a whole row of configs is one NumPy pass
-(:func:`noise_block`).  The single-cell :func:`noise_factors` is the
-one-row case of the same function, so both agree bit for bit.
+idiom), and a window of shapes by a whole row of configs is one NumPy
+pass (:func:`noise_grid`).  The single-cell :func:`noise_factors` is the
+one-shape, one-row case of the same function, so both agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.kernels.params import KernelConfig, config_index
 from repro.utils.rng import derive_seed
 from repro.workloads.gemm import GemmShape
 
-__all__ = ["measurement_noise_factor", "noise_block", "noise_factors"]
+__all__ = ["measurement_noise_factor", "noise_factors", "noise_grid"]
 
 # splitmix64 constants (Steele, Lea & Flood 2014).
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -48,20 +48,21 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def noise_block(
+def noise_grid(
     seed: int,
-    shape: GemmShape,
+    shapes: Sequence[GemmShape],
     config_indices: Sequence[int],
     iterations: int,
     *,
     sigma: float,
     start_iteration: int = 0,
 ) -> np.ndarray:
-    """Lognormal factors for many configs on one shape.
+    """Lognormal factors for many configs on many shapes.
 
-    Returns a ``(len(config_indices), iterations)`` array whose row ``r``
-    holds iterations ``start_iteration`` .. ``start_iteration +
-    iterations - 1`` of canonical config ``config_indices[r]``.
+    Returns a ``(len(shapes), len(config_indices), iterations)`` array
+    whose entry ``[s, r]`` holds iterations ``start_iteration`` ..
+    ``start_iteration + iterations - 1`` of canonical config
+    ``config_indices[r]`` on ``shapes[s]``, each shape under its own key.
     """
     if iterations <= 0:
         raise ValueError(f"iterations must be positive, got {iterations}")
@@ -73,17 +74,21 @@ def noise_block(
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     rows = np.asarray(config_indices, dtype=np.uint64)
     if sigma == 0:
-        return np.ones((rows.size, iterations))
+        return np.ones((len(shapes), rows.size, iterations))
     # Key on the full identity tuple so shape subclasses with extra
     # coordinates (placement, sparse density) get independent draws.
-    key = np.uint64(
-        derive_seed(seed, "measurement-noise", *(int(v) for v in shape.as_tuple()))
+    keys = np.array(
+        [
+            derive_seed(seed, "measurement-noise", *(int(v) for v in s.as_tuple()))
+            for s in shapes
+        ],
+        dtype=np.uint64,
     )
     counter = (rows[:, None] << _S32) | np.arange(
         start_iteration, start_iteration + iterations, dtype=np.uint64
     )
     # Two splitmix64 steps per counter: states key + (2c+1)G, key + (2c+2)G.
-    state = key + (counter + counter) * _GAMMA
+    state = keys[:, None, None] + (counter + counter) * _GAMMA
     first = state + _GAMMA
     u1 = ((_mix(first) >> _S11) + np.uint64(1)) * _UNIT  # (0, 1]: log-safe
     u2 = (_mix(first + _GAMMA) >> _S11) * _UNIT
@@ -103,18 +108,18 @@ def noise_factors(
     """Multiplicative lognormal factors for consecutive measurements.
 
     Returns factors for iterations ``start_iteration`` ..
-    ``start_iteration + iterations - 1``: the one-row case of
-    :func:`noise_block`, so the factor for a given iteration is
+    ``start_iteration + iterations - 1``: the one-cell case of
+    :func:`noise_grid`, so the factor for a given iteration is
     independent of how many are requested at once.
     """
-    return noise_block(
+    return noise_grid(
         seed,
-        shape,
+        (shape,),
         (config_index(config),),
         iterations,
         sigma=sigma,
         start_iteration=start_iteration,
-    )[0]
+    )[0, 0]
 
 
 def measurement_noise_factor(

@@ -1,11 +1,12 @@
 """Structure-of-arrays view of a configuration tuple.
 
-:meth:`GemmPerfModel.times` evaluates one shape against every config of
-a sweep in a single NumPy pass.  It reads each config's shape-independent
-terms — tile geometry, occupancy, compute efficiency, coalescing and the
-pre-encoded quirk hash prefixes — from one :class:`ConfigTable`, built
-lazily from the same scalar helpers :meth:`GemmPerfModel.breakdown` uses,
-so both paths start from identical numbers.
+:meth:`GemmPerfModel.measured_times_block` evaluates a window of shapes
+against every config of a sweep in a single NumPy pass.  It reads each
+config's shape-independent terms — tile geometry, occupancy, compute
+efficiency, coalescing and the pre-encoded quirk hash prefixes — from one
+:class:`ConfigTable`, built lazily from the same scalar helpers
+:meth:`GemmPerfModel.breakdown` uses, so both paths start from identical
+numbers.  The table also keeps the quirk rows the model has hashed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from repro.sycl.device import DeviceSpec
 from repro.utils.rng import key_prefix
 
 __all__ = ["ConfigTable"]
+
+#: Fine-quirk residue triples ``(k % 16, n % 32, m % 8)``; triple
+#: ``(a, b, c)`` is row ``(a * 32 + b) * 8 + c`` of ``ConfigTable.fine``.
+_FINE_RESIDUES = 16 * 32 * 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +51,13 @@ class ConfigTable:
     #: ``derive_seed`` prefixes of each config's quirk keys.
     coarse_prefixes: Tuple[bytes, ...]
     fine_prefixes: Tuple[bytes, ...]
+    #: Fine quirk hashes mod 10,000, one row per residue triple, filled
+    #: as triples are first seen (``fine_filled``).  ``np.zeros`` leaves
+    #: untouched rows unbacked, so a sweep that sees few residues holds
+    #: few of the table's ``4096 x n_configs x 2`` bytes (5.0 MiB for
+    #: 640 configs).  ``uint16`` is exact: every value is below 10,000.
+    fine: np.ndarray
+    fine_filled: np.ndarray
     #: Coarse quirk rows already computed, by log-magnitude bucket.
     coarse_rows: Dict[Tuple[int, int, int], np.ndarray] = field(
         default_factory=dict
@@ -86,4 +98,6 @@ class ConfigTable:
             eff_bc=floats([bc for _, bc in coalescing]),
             coarse_prefixes=tuple(key_prefix(seed, "quirk-coarse", i) for i in index),
             fine_prefixes=tuple(key_prefix(seed, "quirk-fine", i) for i in index),
+            fine=np.zeros((_FINE_RESIDUES, len(configs)), np.uint16),
+            fine_filled=np.zeros(_FINE_RESIDUES, bool),
         )

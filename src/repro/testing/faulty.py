@@ -23,7 +23,7 @@ Three injection points, all driven by one :class:`~repro.testing.plan.FaultPlan`
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class FaultyModel:
 
     Anything accepted as a :class:`BenchmarkRunner` ``model`` can be
     wrapped.  Each ``measured_times_seconds`` call for a (shape, config)
-    cell, and each healthy cell of a ``measured_times_block`` row, is one
+    cell, and each healthy cell of a ``measured_times_block`` window, is one
     *attempt*; the plan decides per attempt, so transient
     plans (``fail_attempts=k``) recover under the runner's retries while
     hard plans fail the cell outright.  One wrapper instance covers one
@@ -104,39 +104,42 @@ class FaultyModel:
 
     def measured_times_block(
         self,
-        shape: GemmShape,
+        shapes: Sequence[GemmShape],
         configs: Sequence[KernelConfig],
         *,
         iterations: int,
         start_iteration: int = 0,
     ) -> np.ndarray:
-        """One sweep row, with planned faults deferred to the runner.
+        """A window of sweep rows, with planned faults deferred to the
+        runner.
 
-        A cell whose next attempt the plan faults comes back as a NaN
-        row without consuming that attempt; the runner then measures it
-        through :meth:`measured_times_seconds`, whose attempts raise and
-        retry exactly as in a per-cell sweep.  Every other cell consumes
-        one attempt here and is measured by the wrapped model's block.
-        A wrapped model without a block method defers every cell.
+        A cell whose next attempt the plan faults comes back NaN without
+        consuming that attempt; the runner then measures it through
+        :meth:`measured_times_seconds`, whose attempts raise and retry
+        exactly as in a per-cell sweep.  Every other cell consumes one
+        attempt here and is measured by the wrapped model's block.  A
+        wrapped model without a block method defers every cell.
         """
         block = getattr(self._model, "measured_times_block", None)
         if block is None:
-            return np.full((len(configs), iterations), np.nan)
-        coords = shape.as_tuple()
-        deferred = []
-        for ci, config in enumerate(configs):
-            key = (coords, config_index(config))
-            attempt = self._attempts.get(key, 0)
-            if self._plan.fault_for(shape, config, attempt) is None:
-                self._attempts[key] = attempt + 1
-            else:
-                deferred.append(ci)
+            return np.full((len(shapes), len(configs), iterations), np.nan)
+        deferred: List[Tuple[int, int]] = []
+        for si, shape in enumerate(shapes):
+            coords = shape.as_tuple()
+            for ci, config in enumerate(configs):
+                key = (coords, config_index(config))
+                attempt = self._attempts.get(key, 0)
+                if self._plan.fault_for(shape, config, attempt) is None:
+                    self._attempts[key] = attempt + 1
+                else:
+                    deferred.append((si, ci))
         # The wrapped model caches its config table per config tuple, so
-        # the whole row is cheaper than a per-shape subset of it.
+        # the whole window is cheaper than a per-shape subset of it.
         times = block(
-            shape, configs, iterations=iterations, start_iteration=start_iteration
+            shapes, configs, iterations=iterations, start_iteration=start_iteration
         )
-        times[deferred] = np.nan
+        if deferred:
+            times[tuple(zip(*deferred))] = np.nan
         return times
 
     def __getattr__(self, name):

@@ -130,7 +130,7 @@ class _PerCellOnly:
 
 
 class TestBlockPathFaults:
-    """The runner's whole-row path must fire exactly the faults, and
+    """The runner's whole-window path must fire exactly the faults, and
     produce exactly the values, of the per-cell path."""
 
     def sweep(self, *, per_cell: bool):
@@ -159,6 +159,41 @@ class TestBlockPathFaults:
         np.testing.assert_array_equal(block.seconds, per_cell.seconds)
         assert block.failures.records == per_cell.failures.records
         assert block.failures.retries == per_cell.failures.retries >= 1
+
+    def test_faults_inside_a_window_match_the_per_cell_sweep(self):
+        # Hard and transient faults only on the middle shape of a
+        # three-shape window: one block call measures all three.
+        configs = config_space()
+        plan = (
+            FaultPlan()
+            .poison(SHAPES[1], configs[5])
+            .poison(SHAPES[1], configs[300], fail_attempts=1)
+            .poison(SHAPES[1], configs[301], kind=FaultKind.TIMEOUT)
+            .poison(SHAPES[1], configs[639], fail_attempts=2)
+        )
+        rc = RunnerConfig(max_retries=1, retry_backoff_s=0.5)
+
+        def sweep(per_cell: bool):
+            model = FaultyModel(GemmPerfModel(Device.r9_nano(), seed=rc.seed), plan)
+            return BenchmarkRunner(
+                Device.r9_nano(),
+                configs=configs,
+                runner_config=rc,
+                model=_PerCellOnly(model) if per_cell else model,
+            ).run(SHAPES[:3])
+
+        block, per_cell = sweep(per_cell=False), sweep(per_cell=True)
+        failed = np.isnan(block.gflops)
+        np.testing.assert_array_equal(failed, np.isnan(per_cell.gflops))
+        assert [tuple(c) for c in np.argwhere(failed)] == [(1, 5), (1, 301), (1, 639)]
+        np.testing.assert_array_equal(block.seconds, per_cell.seconds)
+        records = block.failures.records
+        assert records == per_cell.failures.records
+        assert {r.shape for r in records} == {SHAPES[1]}
+        assert [(configs.index(r.config), r.attempt) for r in records] == [
+            (5, 0), (5, 1), (300, 0), (301, 0), (301, 1), (639, 0), (639, 1)
+        ]
+        assert block.failures.retries == per_cell.failures.retries == 4
 
 
 class TestNaNMaskedDataset:
