@@ -11,7 +11,6 @@ machines where pool overhead would dominate.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -48,5 +47,9 @@ def parallel_map(
         return [fn(item) for item in items]
     if chunksize is None:
         chunksize = max(1, len(items) // (workers * 4))
+    # Imported here: the pool pulls in multiprocessing and socket, which
+    # the serial path and every importer of this module never need.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

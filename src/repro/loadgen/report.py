@@ -11,7 +11,6 @@ per fleet device) where needed.
 
 from __future__ import annotations
 
-import subprocess
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -349,6 +348,8 @@ class LoadReport:
 
 def git_revision() -> Optional[str]:
     """The current git commit SHA, or None outside a repo / without git."""
+    import subprocess  # only a report stamp needs it; keep it off import
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -56,10 +56,11 @@ class SelectionService:
     present.  ``capacity`` bounds the LRU memo.
 
     Lock discipline: the service lock guards the LRU, the in-flight
-    table and breaker state.  Warm hits read a plain snapshot dict
-    without the lock (CPython dict reads are atomic; the single writer
-    mutates it under the lock), so they do not refresh LRU recency —
-    eviction order is approximate-LRU under the lock-free fast path.
+    table and breaker state.  Warm single hits, and batches whose every
+    key is warm, read a plain snapshot dict without the lock (CPython
+    dict reads are atomic; the single writer mutates it under the
+    lock), so they do not refresh LRU recency — eviction order is
+    approximate-LRU under the lock-free fast path.
     Policy evaluation always happens *outside* the lock with a
     double-checked insert, except the circuit breaker's half-open
     probes, which stay serialized to keep the probe schedule exact.
@@ -264,9 +265,13 @@ class SelectionService:
     def select_batch(self, shapes: Sequence[GemmShape]) -> Tuple[KernelConfig, ...]:
         """Configurations for many shapes in one call.
 
-        Cache misses are deduplicated and resolved through the policy's
-        ``select_batch`` (one classifier pass) when available, falling
-        back to per-shape ``select``; hits and repeats never re-evaluate.
+        A non-empty batch whose every key is memoised is answered from
+        the snapshot dict without the service lock, and, like a single
+        warm hit, does not refresh LRU recency.  Otherwise the batch
+        takes the lock: cache misses are deduplicated and resolved
+        through the policy's ``select_batch`` (one classifier pass) when
+        available, falling back to per-shape ``select``; hits and
+        repeats never re-evaluate.
         The policy runs outside the service lock; misses another thread
         is already resolving are awaited rather than recomputed.  The
         per-lookup latency histogram is weighted by the query count, so
@@ -275,6 +280,25 @@ class SelectionService:
         start = time.perf_counter()
         shapes = tuple(shapes)
         keys = [shape.as_tuple() for shape in shapes]
+        n = len(keys)
+        if n:
+            try:
+                out = tuple(map(self._snapshot.__getitem__, keys))
+            except KeyError:
+                pass
+            else:
+                # All warm: answered lock-free, like a single warm hit.
+                # Hits are counted before lookups so a concurrent
+                # clear() can only ever leave hits <= lookups.
+                self._c_hits.inc(n)
+                self._c_lookups.inc(n)
+                self._c_batch.tick()
+                self._c_batch_queries.inc(n)
+                self._g_max_batch.set_max(n)
+                duration = time.perf_counter() - start
+                self._h_call.observe(duration)
+                self._h_lookup.observe_n(duration / n, n)
+                return out
         owned: List[Tuple[GemmShape, _Key, Lock]] = []
         waiting: List[Tuple[GemmShape, _Key, Lock]] = []
         with self._lock:

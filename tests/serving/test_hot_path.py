@@ -4,6 +4,8 @@ These tests pin the serving-layer guarantees the load harness leans on:
 
 * a *warm* hit never touches the service lock, so it completes even
   while another thread holds the lock or is stuck inside the policy;
+* neither does a batch whose every key is warm; it counts exactly like
+  the locked path and, like a single warm hit, refreshes no recency;
 * concurrent misses for one shape consult the policy exactly once;
 * a policy whose ``select_batch`` returns the wrong number of configs
   raises a clear contract error instead of mis-zipping answers;
@@ -36,11 +38,13 @@ class _CountingPolicy:
     def __init__(self, answer=ANSWER):
         self.answer = answer
         self.calls = 0
+        self.shapes = []
         self._lock = threading.Lock()
 
     def select(self, shape):
         with self._lock:
             self.calls += 1
+            self.shapes.append(shape)
         return self.answer
 
 
@@ -134,21 +138,26 @@ def _no_event(*args, **kwargs):
     raise AssertionError("an uncontended miss built a threading.Event")
 
 
+def _run_while_locked(service, fn):
+    """``fn()`` on a worker thread while this thread holds the service lock.
+
+    Fails if the call blocks on the lock; returns what it returned.
+    """
+    got = []
+    with service._lock:
+        worker = threading.Thread(target=lambda: got.append(fn()), daemon=True)
+        worker.start()
+        worker.join(timeout=2.0)
+        assert not worker.is_alive(), "call blocked on the service lock"
+    return got[0]
+
+
 class TestLockFreeHits:
     def test_warm_hit_completes_while_lock_is_held(self):
         service = SelectionService(_CountingPolicy())
         warm = shape(0)
         expected = service.select(warm)
-
-        got = []
-        with service._lock:  # simulate a long critical section elsewhere
-            worker = threading.Thread(
-                target=lambda: got.append(service.select(warm)), daemon=True
-            )
-            worker.start()
-            worker.join(timeout=2.0)
-            assert not worker.is_alive(), "warm hit blocked on the service lock"
-        assert got == [expected]
+        assert _run_while_locked(service, lambda: service.select(warm)) == expected
 
     def test_warm_hits_not_blocked_by_slow_miss(self):
         policy = _GatedPolicy()
@@ -205,6 +214,74 @@ class TestLockFreeHits:
         service.select_batch([shape(i) for i in range(6)])
         service.select(shape(7))
         assert service._inflight == {}
+
+
+class TestLockFreeBatch:
+    def test_warm_batch_completes_while_lock_is_held(self):
+        service = SelectionService(_CountingPolicy())
+        batch = [shape(0), shape(1), shape(0)]
+        expected = service.select_batch(batch)
+        got = _run_while_locked(service, lambda: service.select_batch(batch))
+        assert got == expected == (ANSWER,) * 3
+
+    def test_warm_batch_with_repeats_counts_exactly(self):
+        registry = MetricsRegistry()
+        policy = _CountingPolicy()
+        service = SelectionService(policy, registry=registry)
+        for i in range(3):
+            service.select(shape(i))
+        registry.reset()  # zero the warm-up, keep the memo
+        batch = [shape(0), shape(1), shape(0), shape(2), shape(1)]
+        got = _run_while_locked(service, lambda: service.select_batch(batch))
+        assert got == (ANSWER,) * 5
+        assert policy.calls == 3
+        stats = service.stats()
+        assert stats.lookups == 5
+        assert stats.cache_hits == 5
+        assert stats.batch_calls == 1
+        assert stats.single_calls == 0
+        assert stats.max_batch_size == 5
+        assert registry.counter("serving.batch_queries").value == 5
+        assert registry.histogram("serving.lookup_seconds").count == 5
+        assert registry.histogram("serving.call_seconds").count == 1
+
+    def test_one_cold_key_consults_policy_once(self):
+        policy = _CountingPolicy()
+        service = SelectionService(policy)
+        service.select_batch([shape(0), shape(1)])
+        assert policy.calls == 2
+        got = service.select_batch([shape(0), shape(2), shape(1), shape(2)])
+        assert got == (ANSWER,) * 4
+        assert policy.calls == 3
+        assert policy.shapes[-1] == shape(2)
+        stats = service.stats()
+        assert stats.lookups == 6
+        # Warm 0 and 1 plus the repeat of 2; only its first copy missed.
+        assert stats.cache_hits == 3
+        assert service._inflight == {}
+
+    def test_empty_batch_counts_one_call_and_no_lookups(self):
+        registry = MetricsRegistry()
+        service = SelectionService(_CountingPolicy(), registry=registry)
+        assert service.select_batch([]) == ()
+        stats = service.stats()
+        assert stats.batch_calls == 1
+        assert stats.lookups == 0
+        assert stats.cache_hits == 0
+        assert registry.histogram("serving.lookup_seconds").count == 0
+
+    def test_warm_batch_does_not_refresh_recency(self):
+        service = SelectionService(_CountingPolicy(), capacity=2)
+        a, b, c = shape(0), shape(1), shape(2)
+        service.select(a)
+        service.select(b)
+        service.select_batch([a])  # all warm: a stays least recent
+        service.select(c)
+        assert set(service._cache) == {b.as_tuple(), c.as_tuple()}
+        # A batch with a miss takes the lock and refreshes its hits.
+        service.select_batch([b, a])
+        assert set(service._cache) == {b.as_tuple(), a.as_tuple()}
+        assert set(service._snapshot) == set(service._cache)
 
 
 class TestInflightLatch:

@@ -7,6 +7,7 @@ is tripping and recovering.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -210,3 +211,44 @@ class TestConcurrentServing:
         assert stats.cache_size <= len(SHAPES)
         # Service still serves correctly after the dust settles.
         assert service.select(SHAPES[0]) == expected(SHAPES[0])
+
+    def test_warm_batches_race_clear_on_tiny_cache(self):
+        # A hot pair fits the memo, so its batches are often all-warm
+        # and take the lock-free path while clear() swaps the snapshot;
+        # mixed batches and singles keep inserting and evicting.
+        policy = _CountingPolicy()
+        service = SelectionService(policy, capacity=4)
+        hot = SHAPES[:2]
+        wrong = []
+
+        def check(batch, got):
+            wrong.extend(s for s, c in zip(batch, got) if c != expected(s))
+
+        def worker(tid):
+            rng = random.Random(tid)
+            for r in range(ROUNDS):
+                if tid == 0 and r % 4 == 0:
+                    service.clear()
+                    continue
+                kind = (tid + r) % 3
+                if kind == 0:
+                    batch = [rng.choice(hot) for _ in range(8)]
+                    check(batch, service.select_batch(batch))
+                elif kind == 1:
+                    batch = [rng.choice(hot), rng.choice(WIDE_SHAPES), hot[0]]
+                    check(batch, service.select_batch(batch))
+                else:
+                    single = rng.choice(WIDE_SHAPES[:6])
+                    check([single], [service.select(single)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = service.stats()
+        assert wrong == []
+        assert stats.cache_hits <= stats.lookups
+        assert stats.cache_size <= 4
+        assert service._inflight == {}
