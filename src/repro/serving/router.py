@@ -13,21 +13,26 @@ device and answers ``(device_id, shape)`` lookups:
   performance model predicts the lowest runtime for the shape across
   its shipped kernel library).
 
-Batches (:meth:`FleetRouter.select_batch`) land where as many lookups
-would, planned in one pass that keeps only each shape's first choice;
-each device answers its share in one call, and fallback orders are
-derived only on failure (``benchmarks/test_bench_fleet.py``: ~5-20x
-faster than per-query routing, depending on the policy).
-
 A device-agnostic round-robin lookup while every breaker is closed —
 the common case — takes no lock and builds no list: it reads a cached
-tuple of the devices (rebuilt only by :meth:`FleetRouter.add_device`
-and by breaker transitions, which each service reports through
-``watch_breaker``), draws its turn from an :class:`itertools.count`
-and counts itself with lock-free :meth:`~repro.obs.Counter.tick` calls.
-Every other lookup — targeted, another policy, any breaker open — is
-ordered by :meth:`FleetRouter._candidates` under the router lock; the
-router never holds that lock while calling into a service.
+ring, the tuple of the devices (rebuilt only by
+:meth:`FleetRouter.add_device` and by breaker transitions, which each
+service reports through ``watch_breaker``), draws its turn from an
+:class:`itertools.count` and counts itself with lock-free
+:meth:`~repro.obs.Counter.tick` calls.  Every other lookup — targeted,
+another policy, any breaker open — is ordered by
+:meth:`FleetRouter._candidates` under the router lock; the router never
+holds that lock while calling into a service.
+
+Batches (:meth:`FleetRouter.select_batch`) land where as many lookups
+would, planned in one pass under the lock that keeps only each shape's
+first choice; a device-agnostic round-robin batch reads the ring
+instead of scanning breakers.  Each device answers its share in one
+call and fallback orders are derived only on failure.  A share its
+device answers first try maps each config, by identity, to a decision
+the device keeps interned, so repeated configs allocate nothing
+(``benchmarks/test_bench_fleet.py``: ~6-20x faster than per-query
+routing, depending on the policy).
 
 Service exceptions never escape a routed lookup while any device is
 healthy: the router catches, counts a reroute, and retries the next
@@ -46,7 +51,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from itertools import count, repeat
+from itertools import count
 from typing import (
     Callable,
     Dict,
@@ -56,6 +61,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -78,11 +84,17 @@ ROUTING_POLICIES: Tuple[str, ...] = (
 #: Positions of a batch's shapes: a stride or an explicit list.
 _Picks = Union[slice, List[int]]
 
+#: Decisions one device keeps interned for its batch answers; an insert
+#: that grows the table past this clears it.
+_INTERN_CAP = 256
+
 # tuple.__new__ is RoutedDecision._make minus a Python frame.
 _new_tuple = tuple.__new__
 
+_T = TypeVar("_T")
 
-def _rotated(pool: Sequence[str], turn: int) -> List[str]:
+
+def _rotated(pool: Sequence[_T], turn: int) -> List[_T]:
     """``pool`` cycled to start at round-robin ``turn``."""
     start = turn % len(pool)
     return [*pool[start:], *pool[:start]]
@@ -144,10 +156,64 @@ class _DeviceEntry:
         labels = {"device": device_id}
         self.c_dispatched = registry.counter("fleet.dispatched", labels)
         self.c_completed = registry.counter("fleet.completed", labels)
+        # id(config) -> RoutedDecision(device_id, config, False).  Each
+        # decision holds its config, so no key's id is reused while the
+        # key is in the table.
+        self._decided: Dict[int, RoutedDecision] = {}
 
     @property
     def outstanding(self) -> int:
         return self.c_dispatched.value - self.c_completed.value
+
+    def decisions(self, configs: Sequence[KernelConfig]) -> List[RoutedDecision]:
+        """This device's first-choice decision for each config, interned:
+        repeats of one config object share one decision."""
+        table = self._decided
+        try:
+            return list(map(table.__getitem__, map(id, configs)))
+        except KeyError:
+            pass
+        out = []
+        for config in configs:
+            decision = table.get(id(config))
+            if decision is None:
+                decision = _new_tuple(RoutedDecision, (self.device_id, config, False))
+                table[id(config)] = decision
+                # Checked after the insert, so once racing threads are
+                # done the last check has seen every insert.
+                if len(table) > _INTERN_CAP:
+                    table.clear()
+            out.append(decision)
+        return out
+
+
+#: How a batch's shapes fail over, read by :func:`_fallback_order`: the
+#: pool each shape ranks, the argmin rows that ranked it (empty: a
+#: round-robin rotation from the batch's first turn), that turn, the
+#: open-breaker devices after the pool, and a dead target to try last.
+_Fallback = Tuple[
+    Sequence[_DeviceEntry],
+    Sequence[Sequence[float]],
+    int,
+    Sequence[_DeviceEntry],
+    Optional[_DeviceEntry],
+]
+
+
+def _fallback_order(fallback: _Fallback, i: int) -> List[_DeviceEntry]:
+    """Shape ``i``'s candidate order by the rules of
+    :meth:`FleetRouter._candidates`; only a failing device asks."""
+    pool, rows, start, tail, last = fallback
+    if rows:
+        key = rows[i].__getitem__
+        order = [pool[j] for j in sorted(range(len(pool)), key=key)]
+    else:
+        order = _rotated(pool, start + i)
+    order += tail
+    if last is not None:
+        # The dead target goes last; everything healthy first.
+        order = [e for e in order if e is not last] + [last]
+    return order
 
 
 class FleetRouter:
@@ -391,63 +457,81 @@ class FleetRouter:
         share rerouted to each shape's next candidate.
         """
         shapes = tuple(shapes)
-        parts, order_of = self._plan_batch(shapes, device_id, policy)
+        parts, fallback = self._plan_batch(shapes, device_id, policy)
         out: List[RoutedDecision] = [None] * len(shapes)  # type: ignore[list-item]
+        for entry, picks in parts:
+            self._answer(entry, picks, shapes, out, fallback, device_id)
+        return tuple(out)
 
-        def serve(did: str, picks: _Picks, tried: FrozenSet[str]) -> None:
-            """Answer one device's share, rerouting it on failure.
+    def _answer(
+        self,
+        entry: _DeviceEntry,
+        picks: _Picks,
+        shapes: Tuple[GemmShape, ...],
+        out: List[RoutedDecision],
+        fallback: _Fallback,
+        device_id: Optional[str],
+        tried: FrozenSet[_DeviceEntry] = frozenset(),
+    ) -> None:
+        """Answer one device's share of a batch into ``out``, rerouting
+        it on failure.
 
-            ``tried`` holds the devices that already failed for these
-            shapes, so a multi-device outage walks each candidate order
-            at most once: the recursion depth is bounded by the fleet
-            size and never revisits a device that failed earlier.
-            """
-            entry = self._devices[did]
-            if isinstance(picks, slice):
-                batch, positions = shapes[picks], range(len(shapes))[picks]
-            else:
-                batch, positions = [shapes[i] for i in picks], picks
-            try:
-                configs = entry.service.select_batch(batch)
-            except Exception:
-                self._c_rerouted.inc(len(positions))
-                tried = tried | {did}
-                # Redistribute to each shape's next untried candidate
-                # inside one fleet.reroute span; a multi-device outage
-                # nests its cascading reroutes as child spans.
-                regrouped: Dict[str, List[int]] = {}
-                for i in positions:
-                    remaining = [c for c in order_of(i) if c not in tried]
-                    if not remaining:
-                        raise
-                    regrouped.setdefault(remaining[0], []).append(i)
-                with self._tracer.trace(
-                    "fleet.reroute",
-                    **{"from": did, "shapes": len(positions), "reason": "exception"},
-                ):
-                    for next_did, next_picks in regrouped.items():
-                        serve(next_did, next_picks, tried)
-                return
-            rerouted = bool(tried) or (device_id is not None and did != device_id)
-            entry.c_dispatched.inc(len(configs))
-            if rerouted and not tried:
+        ``tried`` holds the devices that already failed for these
+        shapes, so a multi-device outage walks each candidate order at
+        most once: the recursion depth is bounded by the fleet size and
+        never revisits a device that failed earlier.  A share its device
+        answers first try gets that device's interned decisions; a
+        rerouted share gets new ones.
+        """
+        if isinstance(picks, slice):
+            batch: Sequence[GemmShape] = shapes[picks]
+        else:
+            batch = [shapes[i] for i in picks]
+        try:
+            configs = entry.service.select_batch(batch)
+        except Exception:
+            positions = (
+                range(len(shapes))[picks] if isinstance(picks, slice) else picks
+            )
+            self._c_rerouted.inc(len(positions))
+            tried = tried | {entry}
+            # Redistribute to each shape's next untried candidate inside
+            # one fleet.reroute span; a multi-device outage nests its
+            # cascading reroutes as child spans.
+            regrouped: Dict[_DeviceEntry, List[int]] = {}
+            for i in positions:
+                remaining = [e for e in _fallback_order(fallback, i) if e not in tried]
+                if not remaining:
+                    raise
+                regrouped.setdefault(remaining[0], []).append(i)
+            with self._tracer.trace(
+                "fleet.reroute",
+                **{
+                    "from": entry.device_id,
+                    "shapes": len(positions),
+                    "reason": "exception",
+                },
+            ):
+                for next_entry, next_picks in regrouped.items():
+                    self._answer(
+                        next_entry, next_picks, shapes, out, fallback, device_id, tried
+                    )
+            return
+        did = entry.device_id
+        entry.c_dispatched.inc(len(configs))
+        if tried or (device_id is not None and did != device_id):
+            if not tried:
                 # Targeted at an open breaker: the policy's first choice
                 # answered, but every shape is still a reroute.
                 self._c_rerouted.inc(len(configs))
-            fields = zip(repeat(did), configs, repeat(rerouted))
-            decisions = map(_new_tuple, repeat(RoutedDecision), fields)
-            if isinstance(picks, slice):
-                out[picks] = decisions  # type: ignore
-            else:
-                for i, decision in zip(picks, decisions):
-                    out[i] = decision
-
-        try:
-            for did, picks in parts:
-                serve(did, picks, frozenset())
-        finally:
-            del serve  # the recursive closure refers to itself: free it now
-        return tuple(out)
+            decisions = [RoutedDecision(did, config, True) for config in configs]
+        else:
+            decisions = entry.decisions(configs)
+        if isinstance(picks, slice):
+            out[picks] = decisions
+        else:
+            for i, decision in zip(picks, decisions):
+                out[i] = decision
 
     def complete(
         self,
@@ -545,74 +629,76 @@ class FleetRouter:
         shapes: Tuple[GemmShape, ...],
         device_id: Optional[str],
         policy: Optional[str],
-    ) -> Tuple[List[Tuple[str, _Picks]], Callable[[int], Tuple[str, ...]]]:
+    ) -> Tuple[List[Tuple[_DeviceEntry, _Picks]], _Fallback]:
         """Each shape's first choice, from one snapshot of membership,
         breaker health and load taken under one lock.
 
-        Returns ``(parts, order_of)``: each chosen device with the
-        positions it answers, and ``order_of(i)``, shape ``i``'s full
-        candidate order by the rules of :meth:`_candidates`, which only
-        a failing device asks for.
+        Returns ``(parts, fallback)``: each chosen device with the
+        positions it answers, and the rule :func:`_fallback_order` turns
+        into a shape's full candidate order, which only a failing device
+        asks for.  A device-agnostic round-robin batch while every
+        breaker is closed reads the lock-free path's ring instead of
+        scanning breakers.
         """
         chosen = policy or self._default_policy
         self._check_policy(chosen)
         n = len(shapes)
         with self._lock:
-            if device_id is not None:
-                self._entry(device_id)
+            target = None if device_id is None else self._entry(device_id)
             if not n:
-                return [], lambda i: ()
-            if not self._devices:
-                raise RuntimeError("no devices routed; call add_device first")
-            ids = list(self._devices)
-            open_ids = [d for d in ids if self._devices[d].service.breaker_open]
-            healthy = [d for d in ids if d not in open_ids]
-            if device_id in healthy:
+                return [], ((), (), 0, (), None)
+            ring = self._ring
+            if ring and target is None and chosen == "round-robin":
+                entries: Sequence[_DeviceEntry] = ring
+                healthy: Sequence[_DeviceEntry] = ring
+                open_entries: Sequence[_DeviceEntry] = ()
+            else:
+                if not self._devices:
+                    raise RuntimeError("no devices routed; call add_device first")
+                entries = list(self._devices.values())
+                open_entries = [e for e in entries if e.service.breaker_open]
+                healthy = [e for e in entries if e not in open_entries]
+            if target is not None and target in healthy:
                 self._c_targeted.inc(n)
-                order = (device_id, *[d for d in healthy if d != device_id], *open_ids)
-                return [(device_id, slice(None))], lambda i: order
-            (self._c_agnostic if device_id is None else self._c_targeted).inc(n)
+                rest = [e for e in healthy if e is not target] + list(open_entries)
+                return [(target, slice(None))], ((target,), (), 0, rest, None)
+            (self._c_agnostic if target is None else self._c_targeted).inc(n)
             self._c_placements[chosen].inc(n)
-            pool = healthy or ids
+            pool = healthy or entries
+            tail = open_entries if healthy else ()
             # Fallback sort keys: the rows each argmin ran over (none for RR).
             rows: List[List[float]] = []
+            start = 0
+            parts: List[Tuple[_DeviceEntry, _Picks]] = []
             if chosen == "round-robin":
                 k = len(pool)
                 start = self._next_turn()
                 self._restart_turns(start + n)
                 # All breakers open: skip the dead target, as _candidates does.
-                skip = device_id if k > 1 else None
-                heads = [pool[(start + j) % k] for j in range(k + 1)]
-                parts: List[Tuple[str, _Picks]] = [
-                    (heads[j + 1] if heads[j] == skip else heads[j], slice(j, None, k))
-                    for j in range(min(k, n))
-                ]
+                skip = target if k > 1 else None
+                for j in range(min(k, n)):
+                    head = pool[(start + j) % k]
+                    if head is skip:
+                        head = pool[(start + j + 1) % k]
+                    parts.append((head, slice(j, None, k)))
             else:
                 # All breakers open: the dead target is only tried last.
-                pool = [d for d in pool if d != device_id] or pool
-                k = len(pool)
+                pool = [e for e in pool if e is not target] or pool
                 if chosen == "least-outstanding":
-                    load: List[float] = [self._devices[d].outstanding for d in pool]
+                    load: List[float] = [e.outstanding for e in pool]
                     for _ in range(n):
                         rows.append(list(load))
                         load[load.index(min(load))] += 1
                 else:  # perf-aware
-                    rows = [[self._estimate_locked(d, s) for d in pool] for s in shapes]
-                groups: Dict[str, List[int]] = {}
+                    rows = [
+                        [self._estimate_locked(e.device_id, s) for e in pool]
+                        for s in shapes
+                    ]
+                groups: Dict[_DeviceEntry, List[int]] = {}
                 for i, row in enumerate(rows):
                     groups.setdefault(pool[row.index(min(row))], []).append(i)
                 parts = list(groups.items())
-        tail = open_ids if healthy else []
-
-        def order_of(i: int) -> Tuple[str, ...]:
-            key = rows[i] if rows else [(j - start - i) % k for j in range(k)]
-            order = [pool[j] for j in sorted(range(k), key=key.__getitem__)] + tail
-            if device_id is not None:
-                # The dead target goes last; everything healthy first.
-                order = [d for d in order if d != device_id] + [device_id]
-            return tuple(order)
-
-        return parts, order_of
+        return parts, (pool, rows, start, tail, target)
 
     def estimate(self, device_id: str, shape: GemmShape) -> float:
         """Predicted best-case seconds for ``shape`` on one device.
@@ -662,10 +748,11 @@ class FleetRouter:
             targeted = self._c_targeted.value
             agnostic = self._c_agnostic.value
             rerouted = self._c_rerouted.value
+            # One read per counter: the filter and the count agree.
             policy_counts = {
-                policy: counter.value
+                policy: placed
                 for policy, counter in self._c_placements.items()
-                if counter.value
+                if (placed := counter.value)
             }
         # Per-device snapshots are taken outside the router lock: each
         # service has its own lock and stats() never calls back in.
