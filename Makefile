@@ -12,7 +12,7 @@ test:
 # suites plus the transfer-aware perfmodel, transformer-workload and
 # kernel-family suites, then the cross-process pipeline, fleet and
 # onboarding cache round trips (budget change re-runs only the
-# onboard-* branch).
+# onboard-* branch), then every example script.
 deep:
 	PYTHONPATH=src python -m pytest \
 		tests/integration tests/testing tests/serving tests/pipeline \
@@ -42,6 +42,7 @@ deep:
 		--device-ids r9-nano compute-heavy latency-bound \
 		--networks mobilenet_v2 --trees 8 --rounds 3 \
 		--budget-fraction 0.12 --assert-sources-cached
+	$(MAKE) examples
 
 # Mirrors the CI lint job (requires ruff + mypy on PATH).
 lint:
@@ -49,6 +50,9 @@ lint:
 	ruff format --check src/repro
 	mypy src/repro
 
+# Every benchmark: the bench-smoke gates below, the ledger's self-tests
+# and the two full-scale experiment gates (split variance and sparse
+# density ordering, ~20 s each) that tier-1 cannot afford.
 bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
@@ -84,7 +88,6 @@ examples:
 	python examples/deploy_cpp_selector.py
 	python examples/network_inference.py
 	python examples/new_hardware.py
-	python examples/search_strategies.py
 	python examples/sparse_generalization.py
 	python examples/convolution_layers.py
 

@@ -10,6 +10,7 @@ Two regressions this pins:
   placements (otherwise the placement feature is dead weight).
 """
 
+import statistics
 import time
 
 from repro.bench.runner import BenchmarkRunner, RunnerConfig
@@ -25,15 +26,37 @@ MAX_DEVICE_OVERHEAD = 0.10
 MIN_FLIP_FRACTION = 0.10
 #: CI acceptance bar: geomean points the aware selector must win by.
 MIN_MARGIN = 0.02
+#: Interleaved plain/placed sweep pairs behind the overhead gate.
+ROUNDS = 21
 
 
-def _sweep_seconds(runner, shapes, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        runner.run(shapes)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _sweep_seconds(runner, shapes):
+    start = time.perf_counter()
+    runner.run(shapes)
+    return time.perf_counter() - start
+
+
+def _paired_ratios(runner, plain, placed, rounds=ROUNDS):
+    """Placed-over-plain sweep time, one ratio per round.
+
+    Each round times one plain and one placed sweep back to back, in an
+    order that alternates every round, so both sides of a ratio see the
+    same machine state.  One untimed sweep of each first fills the
+    model's lazily built tables, which would otherwise charge the first
+    round's first sweep.
+    """
+    _sweep_seconds(runner, plain)
+    _sweep_seconds(runner, placed)
+    ratios = []
+    for round_index in range(rounds):
+        if round_index % 2:
+            placed_s = _sweep_seconds(runner, placed)
+            plain_s = _sweep_seconds(runner, plain)
+        else:
+            plain_s = _sweep_seconds(runner, plain)
+            placed_s = _sweep_seconds(runner, placed)
+        ratios.append(placed_s / plain_s)
+    return ratios
 
 
 def test_bench_device_resident_overhead(benchmark):
@@ -46,17 +69,14 @@ def test_bench_device_resident_overhead(benchmark):
     plain = shapes[::8]
     placed = place_shapes(plain, ("device",))
 
-    def measure():
-        return (
-            _sweep_seconds(runner, plain),
-            _sweep_seconds(runner, placed),
-        )
-
-    plain_s, placed_s = benchmark.pedantic(measure, rounds=1, iterations=1)
-    overhead = placed_s / plain_s - 1.0
+    ratios = benchmark.pedantic(
+        _paired_ratios, args=(runner, plain, placed), rounds=1, iterations=1
+    )
+    overhead = statistics.median(ratios) - 1.0
     print(
-        f"\nplain sweep {plain_s:.3f}s, device-placed {placed_s:.3f}s "
-        f"({overhead * 100:+.1f}%)"
+        f"\ndevice-placed over plain sweep, median of {len(ratios)} "
+        f"rounds: {overhead * 100:+.1f}% "
+        f"(rounds {min(ratios) - 1:+.1%} .. {max(ratios) - 1:+.1%})"
     )
     assert overhead < MAX_DEVICE_OVERHEAD
 

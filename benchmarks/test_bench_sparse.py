@@ -1,6 +1,11 @@
 """Extension bench: sparse-data generalization (the paper's future work).
 
-Full-scale run of the experiment behind EXPERIMENTS.md's sparse section.
+Full-scale run of the experiment behind EXPERIMENTS.md's sparse section
+(~20 s).  Its one claim holds only at full scale: selection quality
+degrades as density falls.  On the strided tier-1 run
+(``tests/experiments/test_sparse.py``) density 0.1 scores above 0.5, so
+the claim cannot move there; that test makes the experiment's other
+claims.
 """
 
 from repro.experiments.sparse import run_sparse_generalization
@@ -12,11 +17,5 @@ def test_bench_sparse_generalization(benchmark):
     )
     print("\n" + result.render())
 
-    # Density-aware training must not lose to density-blind training on
-    # held-out sparse shapes, and dense-trained selection must still be
-    # usable (the techniques *partially* generalize).
-    assert result.generalization_gap >= -0.02
-    assert result.score_dense_trained > 0.5
-    # Selection quality degrades as density falls (harder regime).
     scores = result.per_density_scores
     assert scores[0.1] <= scores[0.5] + 0.05

@@ -1,4 +1,12 @@
-"""Reproducibility bench: split-seed variance of the headline results."""
+"""Reproducibility bench: split-seed variance of the Fig 4 sweep.
+
+Its one claim needs all 8 splits of the full dataset (~20 s), which no
+tier-1 test computes: the pruning results move by a few points at most
+from one 34-shape test split to another.  The claims the variance run
+also shows (clustering beats naive top-n at budget 4, RadialSVM below
+the decision tree) are tier-1 tests in
+``tests/integration/test_paper_claims.py``.
+"""
 
 from repro.experiments.variance import run_variance
 
@@ -9,19 +17,6 @@ def test_bench_variance(benchmark, full_dataset):
     )
     print("\n" + result.render())
 
-    # The robust conclusions must hold in the mean across 8 splits:
-    # clustering's best method beats naive top-n at budget 4...
-    naive_mean = result.pruning["top-n"][4][0]
-    best_clustering = max(
-        stats[4][0] for name, stats in result.pruning.items() if name != "top-n"
-    )
-    assert best_clustering > naive_mean
-    # ...and the RadialSVM sits below the decision tree on average.
-    assert (
-        result.selection["RadialSVM"][0]
-        < result.selection["DecisionTree"][0]
-    )
-    # Per-budget std should be a few points at most (34-shape test sets).
     for per_budget in result.pruning.values():
         for _, std in per_budget.values():
             assert std < 0.06

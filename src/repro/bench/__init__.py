@@ -10,7 +10,6 @@ from repro.bench.failures import FailureLog, FailureRecord
 from repro.bench.runner import BenchmarkResult, BenchmarkRunner, RunnerConfig
 from repro.bench.stats import summarize_times, TimingSummary
 from repro.bench.cache import load_dataset, save_dataset
-from repro.bench.parallel import parallel_map
 
 __all__ = [
     "BenchmarkResult",
@@ -20,7 +19,6 @@ __all__ = [
     "RunnerConfig",
     "TimingSummary",
     "load_dataset",
-    "parallel_map",
     "save_dataset",
     "summarize_times",
 ]

@@ -8,14 +8,12 @@ the kernel and number of flops attained over a number of iterations."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.failures import FailureLog, FailureRecord
 from repro.bench.stats import TimingSummary, summarize_times
-from repro.bench.parallel import _MIN_PARALLEL_ITEMS, parallel_map
 from repro.kernels.params import KernelConfig, config_space
 from repro.perfmodel.model import GemmPerfModel
 from repro.perfmodel.params import PerfModelParams
@@ -102,8 +100,7 @@ def _bench_shapes(
     model: GemmPerfModel,
     runner: RunnerConfig,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureRecord, ...]]:
-    """All configs for a chunk of shapes; module-level so the process
-    pool can pickle it.
+    """All configs for a chunk of shapes.
 
     A model with ``measured_times_block`` measures the whole
     (shape x config) window in one call; a cell it returns as NaN is
@@ -213,39 +210,35 @@ class BenchmarkRunner:
         self,
         shapes: Sequence[GemmShape],
         *,
-        max_workers: Optional[int] = 1,
+        max_workers: int = 1,
     ) -> BenchmarkResult:
-        """Benchmark every configuration on every shape.
+        """Benchmark every configuration on every shape, serially.
 
         Shapes are measured in chunks of ``CHUNK_SHAPES``.
-        ``max_workers > 1`` distributes the chunks over a process pool
-        once there are enough shapes to pay for it; the counter-based
-        noise makes the result bit-identical regardless of worker count.
+        ``max_workers`` accepts only 1: the sweep has no process pool,
+        and the keyword stays only because the performance ledger's
+        ``offline-build`` workload still passes ``max_workers=1``.  It
+        goes together with that line (ROADMAP item 6).
 
         A cell whose measurement raises a
         :class:`~repro.sycl.exceptions.SyclError` is retried up to
         ``max_retries`` times and then recorded as NaN; the sweep always
         completes, and every failure is listed in ``result.failures``.
         """
+        if max_workers != 1:
+            raise ValueError(f"max_workers must be 1, got {max_workers!r}")
         shapes = tuple(shapes)
         if not shapes:
             raise ValueError("shapes must be non-empty")
-        fn = partial(
-            _bench_shapes,
-            configs=self._configs,
-            model=self._model,
-            runner=self._runner_config,
-        )
-        chunks = [
-            shapes[lo : lo + CHUNK_SHAPES]
+        rows = [
+            _bench_shapes(
+                shapes[lo : lo + CHUNK_SHAPES],
+                configs=self._configs,
+                model=self._model,
+                runner=self._runner_config,
+            )
             for lo in range(0, len(shapes), CHUNK_SHAPES)
         ]
-        # The pool's break-even point counts shapes, not chunks.
-        if len(shapes) < _MIN_PARALLEL_ITEMS:
-            max_workers = 1
-        rows = parallel_map(
-            fn, chunks, max_workers=max_workers, chunksize=1, min_parallel_items=1
-        )
         gflops = np.vstack([r[0] for r in rows])
         seconds = np.vstack([r[1] for r in rows])
         failures = FailureLog()

@@ -45,12 +45,6 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
         default="r9-nano",
         help="device preset (see `repro devices`)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers for the benchmark sweep (1 = serial)",
-    )
 
 
 def _load_or_generate(args):
@@ -62,7 +56,6 @@ def _load_or_generate(args):
     return generate_dataset(
         device=Device.from_preset(args.device),
         cache_path=args.dataset,
-        max_workers=getattr(args, "workers", 1),
     )
 
 
@@ -234,9 +227,7 @@ def _cmd_pipeline(args) -> int:
 
         registry = default_registry()
         tracer = Tracer()
-        executor = PipelineExecutor(
-            store, max_workers=args.workers, registry=registry, tracer=tracer
-        )
+        executor = PipelineExecutor(store, registry=registry, tracer=tracer)
         run = executor.run(pipeline, paper_params(config), force=args.force)
         print(run.stats.render())
         if args.obs_export is not None:
@@ -735,9 +726,7 @@ def _cmd_fleet(args) -> int:
     device_ids = [p.device_id for p in config.profiles()]
 
     if args.action == "build":
-        run = run_fleet_pipeline(
-            store, config, max_workers=args.workers, force=args.force
-        )
+        run = run_fleet_pipeline(store, config, force=args.force)
         print(run.stats.render())
         print()
         for device_id in device_ids:
@@ -900,9 +889,7 @@ def _cmd_onboard(args) -> int:
 
     if args.action == "run":
         config = _build_onboard_config(args)
-        run = run_onboard_pipeline(
-            store, config, max_workers=args.workers, force=args.force
-        )
+        run = run_onboard_pipeline(store, config, force=args.force)
         report = run.report()
         print(run.stats.render())
         print()
@@ -970,9 +957,7 @@ def _cmd_onboard(args) -> int:
                 config = _build_onboard_config(
                     args, sampler=sampler, fraction=fraction
                 )
-                run = run_onboard_pipeline(
-                    store, config, max_workers=args.workers, force=args.force
-                )
+                run = run_onboard_pipeline(store, config, force=args.force)
                 rows.append((sampler, fraction, config, run.report()))
         print(
             f"{'sampler':12s} {'budget':>7s} {'cells':>12s} "
@@ -1186,7 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=8)
     p.add_argument("--classifier", default="DecisionTree")
     p.add_argument("--seed", type=int, default=0, help="random_state")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--force", action="store_true", help="re-run all stages (run)"
     )
@@ -1242,7 +1226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=8)
     p.add_argument("--classifier", default="DecisionTree")
     p.add_argument("--seed", type=int, default=0, help="random_state")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--force", action="store_true", help="re-run all stages (build)"
     )
@@ -1392,7 +1375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=8)
     p.add_argument("--classifier", default="DecisionTree")
     p.add_argument("--seed", type=int, default=0, help="random_state")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--force", action="store_true", help="re-run all stages (run)"
     )

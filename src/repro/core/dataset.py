@@ -224,7 +224,7 @@ class DatasetSplit:
     test: PerformanceDataset
 
 
-def sweep_stage(inputs, params, options) -> BenchmarkResult:
+def sweep_stage(inputs, params) -> BenchmarkResult:
     """Pipeline stage: run the full benchmark sweep.
 
     Fingerprinted parameters: ``device_spec`` (a
@@ -233,8 +233,7 @@ def sweep_stage(inputs, params, options) -> BenchmarkResult:
     ``placements`` (a tuple of :class:`~repro.workloads.placement.
     DataPlacement` values crossing every extracted shape with a data
     residency — absent from the params dict for legacy sweeps, so
-    existing fingerprints are untouched).  Worker count comes from
-    ``options`` — it never affects the result.
+    existing fingerprints are untouched).
     """
     device = Device(params["device_spec"])
     shapes, _ = extract_dataset_shapes(networks=tuple(params["networks"]))
@@ -246,15 +245,15 @@ def sweep_stage(inputs, params, options) -> BenchmarkResult:
         runner_config=params["runner"],
         model_params=params.get("model_params"),
     )
-    return runner.run(shapes, max_workers=options.get("max_workers", 1))
+    return runner.run(shapes)
 
 
-def dataset_stage(inputs, params, options) -> PerformanceDataset:
+def dataset_stage(inputs, params) -> PerformanceDataset:
     """Pipeline stage: normalise the raw sweep into the dataset view."""
     return PerformanceDataset.from_benchmark(inputs["sweep"])
 
 
-def split_stage(inputs, params, options) -> DatasetSplit:
+def split_stage(inputs, params) -> DatasetSplit:
     """Pipeline stage: deterministic train/test split of the dataset."""
     train, test = inputs["dataset"].split(
         test_size=params["test_size"], random_state=params["split_seed"]
@@ -270,7 +269,6 @@ def generate_dataset(
     networks: Sequence[str] = DEFAULT_NETWORKS,
     placements: Optional[Sequence[str]] = None,
     cache_path: Optional[Union[str, Path]] = None,
-    max_workers: Optional[int] = 1,
     store=None,
 ) -> PerformanceDataset:
     """Regenerate the paper's dataset end to end.
@@ -308,7 +306,6 @@ def generate_dataset(
             model_params=model_params,
             networks=tuple(networks),
             placements=tuple(placements) if placements else None,
-            max_workers=max_workers or 1,
         )
 
     if placements:
@@ -344,7 +341,7 @@ def generate_dataset(
         runner_config=runner_config,
         model_params=model_params,
     )
-    result = runner.run(shapes, max_workers=max_workers)
+    result = runner.run(shapes)
     if cache_path is not None:
         _save_raw(result, cache_path, model_params=model_params)
     return PerformanceDataset.from_benchmark(result)

@@ -172,19 +172,38 @@ class DeployedSelector:
     # -- code generation -----------------------------------------------------
 
     def _tree(self):
-        from repro.ml.tree.structure import Tree
+        """The selection tree every emitter and :meth:`compiled` walk.
 
-        estimator = self.selector.estimator
-        tree = getattr(estimator, "tree_", None)
+        A degenerate constant selector (one in-set config dominated
+        training) is a single leaf answering that config for every shape.
+        """
+        from repro.ml.tree.structure import LEAF, Tree
+
+        if getattr(self.selector, "_constant", None) is not None:
+            return Tree(
+                feature=np.array([LEAF], dtype=np.int64),
+                threshold=np.zeros(1),
+                left=np.array([LEAF], dtype=np.int64),
+                right=np.array([LEAF], dtype=np.int64),
+                value=np.ones((1, 1)),
+                impurity=np.zeros(1),
+                n_samples=np.ones(1, dtype=np.int64),
+            )
+        tree = getattr(self.selector.estimator, "tree_", None)
         # Note: KNeighborsClassifier also has a ``tree_`` (its KD-tree);
         # only a CART structure is exportable as nested ifs.
-        if not isinstance(tree, Tree) or (
-            getattr(self.selector, "_constant", None) is not None
-        ):
+        if not isinstance(tree, Tree):
             raise TypeError(
                 "source export requires a fitted decision-tree selector"
             )
         return tree
+
+    def _classes(self) -> np.ndarray:
+        """Pruned-set position of each class a :meth:`_tree` leaf votes for."""
+        constant = getattr(self.selector, "_constant", None)
+        if constant is not None:
+            return np.array([constant])
+        return self.selector.estimator.classes_
 
     def _feature_names(self) -> Tuple[str, ...]:
         """Argument names for the generated dispatch function.
@@ -206,9 +225,9 @@ class DeployedSelector:
     def _config_tokens(self) -> Tuple[str, ...]:
         # Leaf classes are positions into the pruned set; map through the
         # selector's training classes to configuration names.
-        classes = self.selector.estimator.classes_
         return tuple(
-            self.selector.pruned.configs[int(c)].short_name() for c in classes
+            self.selector.pruned.configs[int(c)].short_name()
+            for c in self._classes()
         )
 
     def export_python(self, *, function_name: str = "select_kernel") -> str:
@@ -241,36 +260,21 @@ class DeployedSelector:
         to :meth:`select`, roughly two orders of magnitude faster.
 
         Requires a fitted decision-tree selector (like the source
-        exporters); a degenerate constant selector compiles to a
-        single-leaf tree.  A tree deeper than ``MAX_SOURCE_DEPTH``
-        raises ``ValueError``; :meth:`select` still serves it.
+        exporters, it walks :meth:`_tree`, so a degenerate constant
+        selector compiles to a single leaf).  A tree deeper than
+        ``MAX_SOURCE_DEPTH`` raises ``ValueError``; :meth:`select` still
+        serves it.
         """
         from repro.ml.tree.codegen import compile_tree
-        from repro.ml.tree.structure import LEAF, Tree as _Tree
+        from repro.ml.tree.structure import LEAF
 
         configs = self.selector.pruned.configs
-        names = self._feature_names()
-        constant = getattr(self.selector, "_constant", None)
-        if constant is not None:
-            # One in-set config dominated training: the "tree" is a
-            # single leaf answering that config for every shape.
-            one_leaf = _Tree(
-                feature=np.array([LEAF], dtype=np.int64),
-                threshold=np.zeros(1),
-                left=np.array([LEAF], dtype=np.int64),
-                right=np.array([LEAF], dtype=np.int64),
-                value=np.ones((1, 1)),
-                impurity=np.zeros(1),
-                n_samples=np.ones(1, dtype=np.int64),
-            )
-            compiled_tree = compile_tree(one_leaf, feature_names=names)
-            return CompiledSelector(compiled_tree, (configs[int(constant)],))
         tree = self._tree()
-        compiled_tree = compile_tree(tree, feature_names=names)
+        compiled_tree = compile_tree(tree, feature_names=self._feature_names())
         # Pre-resolve each leaf to its configuration: argmax over the
         # leaf's class distribution, through the training classes to a
         # position in the pruned set — exactly the classifier's predict.
-        classes = self.selector.estimator.classes_
+        classes = self._classes()
         leaf_configs: list = [None] * tree.node_count
         for node in range(tree.node_count):
             if tree.feature[node] == LEAF:
@@ -309,7 +313,7 @@ def tune(
 # -- pipeline stages ----------------------------------------------------------
 
 
-def prune_stage(inputs, params, options) -> PrunedSet:
+def prune_stage(inputs, params) -> PrunedSet:
     """Pipeline stage: prune the configuration space on the train split.
 
     Parameters: ``pruner`` (technique name, see
@@ -322,7 +326,7 @@ def prune_stage(inputs, params, options) -> PrunedSet:
     return pruner.select(inputs["split"].train, params["budget"])
 
 
-def train_stage(inputs, params, options) -> DeployedSelector:
+def train_stage(inputs, params) -> DeployedSelector:
     """Pipeline stage: fit the runtime selector, bundle the library."""
     selector = make_selector(
         params["classifier"],
@@ -333,6 +337,6 @@ def train_stage(inputs, params, options) -> DeployedSelector:
     return DeployedSelector(KernelLibrary(inputs["prune"].configs), selector)
 
 
-def eval_stage(inputs, params, options):
+def eval_stage(inputs, params):
     """Pipeline stage: score the deployed selector on the test split."""
     return evaluate_selector(inputs["train"].selector, inputs["split"].test)

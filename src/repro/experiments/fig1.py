@@ -20,7 +20,7 @@ from repro.experiments.report import ascii_series, ascii_table
 __all__ = ["Fig1Result", "fig1_stage", "run_fig1"]
 
 
-def fig1_stage(inputs, params, options) -> "Fig1Result":
+def fig1_stage(inputs, params) -> "Fig1Result":
     """Pipeline stage: Figure 1 from the shared dataset artifact."""
     return run_fig1(inputs["dataset"])
 

@@ -19,7 +19,7 @@ from repro.kernels.params import KernelConfig
 __all__ = ["Fig2Result", "fig2_stage", "run_fig2"]
 
 
-def fig2_stage(inputs, params, options) -> "Fig2Result":
+def fig2_stage(inputs, params) -> "Fig2Result":
     """Pipeline stage: Figure 2 from the shared dataset artifact."""
     return run_fig2(inputs["dataset"])
 

@@ -19,7 +19,7 @@ from repro.experiments.report import ascii_bars
 __all__ = ["Fig3Result", "fig3_stage", "run_fig3"]
 
 
-def fig3_stage(inputs, params, options) -> "Fig3Result":
+def fig3_stage(inputs, params) -> "Fig3Result":
     """Pipeline stage: Figure 3 from the shared dataset artifact."""
     return run_fig3(inputs["dataset"])
 

@@ -20,7 +20,7 @@ __all__ = ["Fig4Result", "fig4_stage", "run_fig4"]
 DEFAULT_BUDGETS: Tuple[int, ...] = tuple(range(4, 16))
 
 
-def fig4_stage(inputs, params, options) -> "Fig4Result":
+def fig4_stage(inputs, params) -> "Fig4Result":
     """Pipeline stage: the pruning sweep on the shared dataset.
 
     Parameters: ``budgets``, ``test_size``, ``split_seed`` and

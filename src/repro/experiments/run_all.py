@@ -59,7 +59,7 @@ def run_all(
     )
 
 
-def run_all_pipeline(store, config=None, *, max_workers: int = 1):
+def run_all_pipeline(store, config=None):
     """Every experiment via the staged pipeline, reusing cached artifacts.
 
     ``store`` is a :class:`~repro.pipeline.store.ArtifactStore`;
@@ -70,7 +70,7 @@ def run_all_pipeline(store, config=None, *, max_workers: int = 1):
     """
     from repro.pipeline.paper import run_paper_pipeline
 
-    run = run_paper_pipeline(store, config, max_workers=max_workers)
+    run = run_paper_pipeline(store, config)
     results = AllResults(
         dataset=run.value("dataset"),
         fig1=run.value("fig1"),

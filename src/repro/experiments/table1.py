@@ -23,7 +23,7 @@ __all__ = ["Table1Result", "run_table1", "table1_stage"]
 DEFAULT_BUDGETS: Tuple[int, ...] = (5, 6, 8, 15)
 
 
-def table1_stage(inputs, params, options) -> "Table1Result":
+def table1_stage(inputs, params) -> "Table1Result":
     """Pipeline stage: the classifier sweep on the shared dataset."""
     return run_table1(
         inputs["dataset"],

@@ -81,15 +81,15 @@ def _canonical(inputs: Mapping[str, Any]) -> Dict[str, Any]:
     return {name.partition("@")[0]: value for name, value in inputs.items()}
 
 
-# -- per-device stage functions (module-level for process-pool pickling) ------
+# -- per-device stage functions ----------------------------------------------
 
 
-def profile_stage(inputs, params, options) -> DeviceProfile:
+def profile_stage(inputs, params) -> DeviceProfile:
     """Pipeline stage: the device profile itself, as a root artifact."""
     return params["profile"]
 
 
-def fleet_sweep_stage(inputs, params, options):
+def fleet_sweep_stage(inputs, params):
     """Pipeline stage: benchmark sweep on one profile's device.
 
     The device spec and model constants come from the upstream profile
@@ -105,27 +105,27 @@ def fleet_sweep_stage(inputs, params, options):
         runner_config=params["runner"],
         model_params=profile.model_params,
     )
-    return runner.run(shapes, max_workers=options.get("max_workers", 1))
+    return runner.run(shapes)
 
 
-def fleet_dataset_stage(inputs, params, options) -> PerformanceDataset:
+def fleet_dataset_stage(inputs, params) -> PerformanceDataset:
     return PerformanceDataset.from_benchmark(_canonical(inputs)["sweep"])
 
 
-def fleet_split_stage(inputs, params, options):
-    return split_stage(_canonical(inputs), params, options)
+def fleet_split_stage(inputs, params):
+    return split_stage(_canonical(inputs), params)
 
 
-def fleet_prune_stage(inputs, params, options):
-    return prune_stage(_canonical(inputs), params, options)
+def fleet_prune_stage(inputs, params):
+    return prune_stage(_canonical(inputs), params)
 
 
-def fleet_train_stage(inputs, params, options):
-    return train_stage(_canonical(inputs), params, options)
+def fleet_train_stage(inputs, params):
+    return train_stage(_canonical(inputs), params)
 
 
-def fleet_eval_stage(inputs, params, options):
-    return eval_stage(_canonical(inputs), params, options)
+def fleet_eval_stage(inputs, params):
+    return eval_stage(_canonical(inputs), params)
 
 
 # -- configuration ------------------------------------------------------------
@@ -281,7 +281,6 @@ def run_fleet_pipeline(
     store: ArtifactStore,
     config: Optional[FleetPipelineConfig] = None,
     *,
-    max_workers: int = 1,
     force: bool = False,
     registry=None,
     tracer=None,
@@ -293,9 +292,7 @@ def run_fleet_pipeline(
     counters land in the same obs snapshot as later serving traffic.
     """
     config = config or FleetPipelineConfig()
-    executor = PipelineExecutor(
-        store, max_workers=max_workers, registry=registry, tracer=tracer
-    )
+    executor = PipelineExecutor(store, registry=registry, tracer=tracer)
     run = executor.run(
         fleet_pipeline(config), fleet_params(config), force=force
     )

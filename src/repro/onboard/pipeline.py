@@ -100,15 +100,15 @@ def _source_branches(
     )
 
 
-# -- onboard stage functions (module-level for process-pool pickling) ---------
+# -- onboard stage functions -------------------------------------------------
 
 
-def onboard_budget_stage(inputs, params, options) -> OnboardBudget:
+def onboard_budget_stage(inputs, params) -> OnboardBudget:
     """Pipeline stage: the budget itself, as the branch's root artifact."""
     return params["budget"]
 
 
-def onboard_sweep_stage(inputs, params, options):
+def onboard_sweep_stage(inputs, params):
     """Pipeline stage: the budgeted partial benchmark on the target."""
     grouped = _collect(inputs)
     target = params["target"]
@@ -125,7 +125,7 @@ def onboard_sweep_stage(inputs, params, options):
     return run_partial_sweep(runner, shapes, budget, sources=sources)
 
 
-def onboard_dataset_stage(inputs, params, options):
+def onboard_dataset_stage(inputs, params):
     """Pipeline stage: impute + calibrate the partial sweep to a full table."""
     grouped = _collect(inputs)
     target = params["target"]
@@ -138,19 +138,19 @@ def onboard_dataset_stage(inputs, params, options):
     )
 
 
-def onboard_split_stage(inputs, params, options):
+def onboard_split_stage(inputs, params):
     grouped = _collect(inputs)
     dataset = next(iter(grouped["onboard-dataset"].values()))
-    return split_stage({"dataset": dataset}, params, options)
+    return split_stage({"dataset": dataset}, params)
 
 
-def onboard_prune_stage(inputs, params, options):
+def onboard_prune_stage(inputs, params):
     grouped = _collect(inputs)
     split = next(iter(grouped["onboard-split"].values()))
-    return prune_stage({"split": split}, params, options)
+    return prune_stage({"split": split}, params)
 
 
-def onboard_train_stage(inputs, params, options):
+def onboard_train_stage(inputs, params):
     grouped = _collect(inputs)
     return train_stage(
         {
@@ -158,11 +158,10 @@ def onboard_train_stage(inputs, params, options):
             "prune": next(iter(grouped["onboard-prune"].values())),
         },
         params,
-        options,
     )
 
 
-def onboard_report_stage(inputs, params, options):
+def onboard_report_stage(inputs, params):
     """Pipeline stage: score the budgeted selector against ground truth."""
     grouped = _collect(inputs)
     target = params["target"]
@@ -400,7 +399,6 @@ def run_onboard_pipeline(
     store: ArtifactStore,
     config: OnboardPipelineConfig,
     *,
-    max_workers: int = 1,
     force: bool = False,
     registry=None,
     tracer=None,
@@ -411,9 +409,7 @@ def run_onboard_pipeline(
     built, so an onboarding rerun after a budget change executes only
     the ``onboard-*`` stages of the target.
     """
-    executor = PipelineExecutor(
-        store, max_workers=max_workers, registry=registry, tracer=tracer
-    )
+    executor = PipelineExecutor(store, registry=registry, tracer=tracer)
     run = executor.run(
         onboard_pipeline(config), onboard_params(config), force=force
     )

@@ -366,11 +366,6 @@ class GemmPerfModel:
             )
         return table
 
-    def __getstate__(self):
-        # Process-pool workers rebuild the table on first use; a filled
-        # fine-quirk table would ship up to 5 MiB with every task.
-        return {**self.__dict__, "_table": None}
-
     def _grid_times(self, shapes: Sequence[GemmShape], t: ConfigTable) -> np.ndarray:
         """:meth:`breakdown`'s arithmetic over (shape x config).
 

@@ -3,8 +3,7 @@
 For every stage the executor computes the content-address fingerprint,
 probes the :class:`~repro.pipeline.store.ArtifactStore`, and either
 loads the stored artifact (cache hit) or runs the stage function and
-persists the result.  Independent stages at the same DAG depth execute
-through :func:`~repro.bench.parallel.parallel_map`.
+persists the result.  Stages run one at a time, in topological order.
 
 Every decision is emitted as a ``pipeline.stage`` span (tagged with the
 stage name, fingerprint, and cache-hit outcome) nested under one
@@ -21,11 +20,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.bench.parallel import parallel_map
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
 from repro.pipeline.artifact import Artifact, Provenance
-from repro.pipeline.stage import Pipeline, Stage
+from repro.pipeline.stage import Pipeline
 from repro.pipeline.store import ArtifactStore
 
 __all__ = ["ExecutorStats", "PipelineExecutor", "PipelineRun", "StageExecution"]
@@ -122,46 +120,23 @@ def _collect_failures(value: Any) -> Tuple[str, ...]:
     return tuple(out)
 
 
-def _run_stage_job(job) -> Tuple[Any, float]:
-    """Execute one stage; module-level so process pools can pickle it."""
-    fn, inputs, params, options = job
-    start = time.perf_counter()
-    value = fn(inputs, params, options)
-    return value, time.perf_counter() - start
-
-
 class PipelineExecutor:
     """Runs a :class:`Pipeline` against an :class:`ArtifactStore`.
-
-    ``max_workers`` bounds both stage-level parallelism (independent
-    stages at one DAG depth) and is forwarded to stages via
-    ``options["max_workers"]`` for their internal fan-out (e.g. the
-    benchmark sweep).  Worker counts never enter fingerprints: results
-    are bit-identical regardless of parallelism.
 
     ``registry`` receives ``pipeline.stages{result=ran|cached}``
     counters (a private :class:`~repro.obs.MetricsRegistry` when
     omitted); ``tracer`` receives the ``pipeline.run`` /
-    ``pipeline.stage`` span trees (dropped by default).  Stage runtimes
-    in the spans are worker-measured, so process-pool execution reports
-    true stage cost, not round-trip overhead.
+    ``pipeline.stage`` span trees (dropped by default).
     """
 
     def __init__(
         self,
         store: ArtifactStore,
         *,
-        max_workers: int = 1,
-        options: Optional[Mapping[str, Any]] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._store = store
-        self._max_workers = max_workers
-        self._options: Dict[str, Any] = {"max_workers": max_workers}
-        self._options.update(options or {})
         self._registry = registry if registry is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._c_ran = self._registry.counter("pipeline.stages", {"result": "ran"})
@@ -218,68 +193,37 @@ class PipelineExecutor:
         with self._tracer.trace(
             "pipeline.run", stages=len(pipeline.stages), force=force
         ):
-            for level in pipeline.levels():
-                hits: List[Stage] = []
-                misses: List[Stage] = []
-                for stage in level:
-                    if not force and fingerprints[stage.name] in self._store:
-                        hits.append(stage)
-                    else:
-                        misses.append(stage)
-
-                for stage in hits:
+            for stage in pipeline.topo_order():
+                fingerprint = fingerprints[stage.name]
+                if not force and fingerprint in self._store:
                     start = time.perf_counter()
-                    artifact = self._store.get(fingerprints[stage.name])
-                    artifacts[stage.name] = artifact
+                    artifacts[stage.name] = self._store.get(fingerprint)
+                    runtime_s = time.perf_counter() - start
                     spans.append(
-                        self._stage_span(
-                            stage.name,
-                            fingerprints[stage.name],
-                            True,
-                            time.perf_counter() - start,
-                        )
+                        self._stage_span(stage.name, fingerprint, True, runtime_s)
                     )
-
-                if not misses:
                     continue
-                jobs = [
-                    (
-                        stage.fn,
-                        {p: artifacts[p].value for p in stage.inputs},
-                        params.get(stage.name),
-                        dict(self._options),
-                    )
-                    for stage in misses
-                ]
-                results = parallel_map(
-                    _run_stage_job,
-                    jobs,
-                    max_workers=min(self._max_workers, len(jobs)),
-                    min_parallel_items=2,
+                start = time.perf_counter()
+                value = stage.fn(
+                    {p: artifacts[p].value for p in stage.inputs},
+                    params.get(stage.name),
                 )
-                for stage, (value, runtime_s) in zip(misses, results):
-                    provenance = Provenance(
-                        stage=stage.name,
-                        fingerprint=fingerprints[stage.name],
-                        code_version=stage.version,
-                        params=params.get(stage.name),
-                        parents={
-                            p: fingerprints[p] for p in stage.inputs
-                        },
-                        codec=stage.codec,
-                        created_at=time.time(),
-                        runtime_s=runtime_s,
-                        failures=_collect_failures(value),
-                    )
-                    artifacts[stage.name] = self._store.put(value, provenance)
-                    spans.append(
-                        self._stage_span(
-                            stage.name,
-                            fingerprints[stage.name],
-                            False,
-                            runtime_s,
-                        )
-                    )
+                runtime_s = time.perf_counter() - start
+                provenance = Provenance(
+                    stage=stage.name,
+                    fingerprint=fingerprint,
+                    code_version=stage.version,
+                    params=params.get(stage.name),
+                    parents={p: fingerprints[p] for p in stage.inputs},
+                    codec=stage.codec,
+                    created_at=time.time(),
+                    runtime_s=runtime_s,
+                    failures=_collect_failures(value),
+                )
+                artifacts[stage.name] = self._store.put(value, provenance)
+                spans.append(
+                    self._stage_span(stage.name, fingerprint, False, runtime_s)
+                )
 
         # The stats snapshot is a thin view over the emitted spans.
         executions = [
@@ -291,8 +235,6 @@ class PipelineExecutor:
             )
             for span in spans
         ]
-        order = {s.name: i for i, s in enumerate(pipeline.topo_order())}
-        executions.sort(key=lambda e: order[e.stage])
         return PipelineRun(
             artifacts=artifacts, stats=ExecutorStats(tuple(executions))
         )

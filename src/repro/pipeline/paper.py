@@ -173,11 +173,10 @@ def run_paper_pipeline(
     store: ArtifactStore,
     config: Optional[PaperPipelineConfig] = None,
     *,
-    max_workers: int = 1,
     force: bool = False,
 ) -> PipelineRun:
     """Run (or incrementally resume) the whole reproduction."""
-    executor = PipelineExecutor(store, max_workers=max_workers)
+    executor = PipelineExecutor(store)
     return executor.run(paper_pipeline(), paper_params(config), force=force)
 
 
@@ -189,7 +188,6 @@ def generate_dataset_stages(
     model_params: Optional[PerfModelParams],
     networks: Tuple[str, ...],
     placements: Optional[Tuple[str, ...]] = None,
-    max_workers: int = 1,
 ):
     """Sweep + dataset stages only (the ``generate_dataset`` fast path)."""
     sweep, dataset = _dataset_stages()
@@ -201,5 +199,4 @@ def generate_dataset_stages(
             device, networks, runner_config, model_params, placements
         )
     }
-    executor = PipelineExecutor(store, max_workers=max_workers)
-    return executor.run(pipeline, params).value("dataset")
+    return PipelineExecutor(store).run(pipeline, params).value("dataset")

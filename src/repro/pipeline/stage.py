@@ -17,20 +17,15 @@ from repro.pipeline.fingerprint import fingerprint_stage
 
 __all__ = ["Pipeline", "Stage"]
 
-#: Stage function signature: (inputs, params, options) -> value.  Inputs
-#: maps upstream stage names to their values; params is the stage's
-#: fingerprinted parameter object; options carries non-fingerprinted
-#: execution knobs (worker counts etc.) shared across the run.
-StageFn = Callable[[Mapping[str, Any], Any, Mapping[str, Any]], Any]
+#: Stage function signature: (inputs, params) -> value.  Inputs maps
+#: upstream stage names to their values; params is the stage's
+#: fingerprinted parameter object.
+StageFn = Callable[[Mapping[str, Any], Any], Any]
 
 
 @dataclass(frozen=True)
 class Stage:
-    """One node of the pipeline DAG.
-
-    ``fn`` must be a module-level callable (picklable by reference) so
-    independent stages can execute on a process pool.
-    """
+    """One node of the pipeline DAG."""
 
     name: str
     fn: StageFn
@@ -78,17 +73,6 @@ class Pipeline:
     def topo_order(self) -> List[Stage]:
         """Stages parents-first (insertion order already guarantees it)."""
         return list(self._stages.values())
-
-    def levels(self) -> List[List[Stage]]:
-        """Stages grouped by DAG depth; one group's members are mutually
-        independent and may execute concurrently."""
-        depth: Dict[str, int] = {}
-        groups: Dict[int, List[Stage]] = {}
-        for stage in self.topo_order():
-            d = 1 + max((depth[p] for p in stage.inputs), default=-1)
-            depth[stage.name] = d
-            groups.setdefault(d, []).append(stage)
-        return [groups[d] for d in sorted(groups)]
 
     def descendants(self, name: str) -> List[str]:
         """All stages downstream of ``name`` (transitively)."""

@@ -78,6 +78,11 @@ class TestRunner:
         with pytest.raises(ValueError):
             runner.run(())
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_only_a_serial_sweep_is_accepted(self, runner, workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            runner.run(SHAPES[:1], max_workers=workers)
+
     def test_bench_single(self, runner):
         summary = runner.bench_single(SHAPES[0], CONFIGS[0])
         assert summary.iterations == RunnerConfig().timed_iterations

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.bench.runner import BenchmarkRunner
+from repro.core.deploy import tune
 from repro.core.pruning import TopNPruner
 from repro.core.selection.dynamic import DynamicTrialSelector
+from repro.perfmodel import GemmPerfModel
 from repro.sycl.device import Device
 from repro.workloads.gemm import GemmShape
 
@@ -117,3 +119,37 @@ class TestDynamicSelector:
         assert selector.stats.trial_sweeps == 2  # two unique shapes
         reference = DynamicTrialSelector(runner, pruned)
         assert configs == tuple(reference.select(s) for s in shapes)
+
+
+class TestAgainstTheTrainedSelector:
+    """The introduction's argument in simulated device time (kernel runs
+    plus trial sweeps): benchmark-on-first-use loses on a research
+    workload whose shapes keep changing, and stays competitive on a
+    stable deployment that amortises its trials."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, full_dataset):
+        train, test = full_dataset.split(test_size=0.2, random_state=0)
+        deployed = tune(train, n_configs=8, random_state=0)
+        return deployed, test
+
+    @staticmethod
+    def device_seconds(deployed, shapes):
+        model = GemmPerfModel(Device.r9_nano())
+        dynamic = DynamicTrialSelector(
+            BenchmarkRunner(Device.r9_nano()), deployed.selector.pruned
+        )
+        trained = sum(model.time_seconds(s, deployed.select(s)) for s in shapes)
+        served = sum(model.time_seconds(s, dynamic.select(s)) for s in shapes)
+        return trained, served + dynamic.stats.trial_seconds
+
+    def test_research_workload_favours_the_trained_selector(self, setup):
+        deployed, test = setup
+        trained, dynamic = self.device_seconds(deployed, list(test.shapes))
+        assert trained < dynamic
+
+    def test_stable_deployment_amortises_trials(self, setup):
+        deployed, test = setup
+        few = list(test.shapes[:: max(1, len(test.shapes) // 6)][:6])
+        trained, dynamic = self.device_seconds(deployed, few * 500)
+        assert dynamic < trained * 1.2

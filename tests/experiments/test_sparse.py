@@ -16,7 +16,9 @@ def result():
 
 class TestSparseGeneralization:
     def test_scores_in_range(self, result):
-        assert 0 < result.score_dense_trained <= 1
+        # Dense-trained selection stays usable on sparse rows: the
+        # techniques at least partially generalize.
+        assert 0.5 < result.score_dense_trained <= 1
         assert 0 < result.score_sparsity_aware <= 1
         assert result.score_dense_trained <= result.ceiling_dense_trained + 1e-9
         assert result.score_sparsity_aware <= result.ceiling_sparsity_aware + 1e-9

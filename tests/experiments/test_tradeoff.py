@@ -34,3 +34,13 @@ class TestTradeoff:
     def test_empty_budgets_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             run_tradeoff(small_dataset, budgets=())
+
+
+def test_full_scale_small_library_with_diminishing_returns(full_dataset):
+    result = run_tradeoff(full_dataset)
+    # The pruned libraries are far smaller than the full bundle...
+    assert result.points[-1].binary_bytes < result.full_library_bytes / 3
+    # ...with diminishing returns setting in within the paper's budget
+    # range, and the largest budget beating the smallest.
+    assert result.knee_budget() <= 32
+    assert result.points[-1].achievable > result.points[0].achievable

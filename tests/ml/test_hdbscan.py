@@ -151,6 +151,7 @@ class TestHDBSCANEstimator:
         X = blobs(rng, [(0, 0), (8, 8)])
         h = HDBSCAN(min_cluster_size=10)
         np.testing.assert_array_equal(h.fit_predict(X), h.labels_)
+        assert h.labels_.shape == (len(X),)
 
     def test_medoids_one_per_cluster_and_member(self, rng):
         X = blobs(rng, [(0, 0), (9, 9)])

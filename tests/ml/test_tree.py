@@ -195,6 +195,7 @@ class TestRegressor:
         reg = DecisionTreeRegressor(max_leaf_nodes=16).fit(X, y)
         assert reg.predict(X).shape == (60, 3)
         assert reg.n_outputs_ == 3
+        assert reg.n_leaves_ <= 16
 
     def test_leaf_representatives_count(self, rng):
         X = rng.normal(size=(80, 3))

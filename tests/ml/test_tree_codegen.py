@@ -227,3 +227,8 @@ class TestDeployedSelectorCompiled:
         compiled = deployed.compiled()
         shapes = tuple(small_dataset.shapes)
         assert compiled.select_batch(shapes) == deployed.select_batch(shapes)
+        # The source exporters walk the same one-leaf tree.
+        namespace = {}
+        exec(deployed.export_python(), namespace)  # noqa: S102
+        (config,) = set(deployed.select_batch(shapes))
+        assert namespace["select_kernel"](1, 2, 3, 1) == config.short_name()

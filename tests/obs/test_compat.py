@@ -186,12 +186,11 @@ class TestFleetStatsCompat:
         assert reroutes[0].tags["from"] == "dead"
 
 
-# Stage functions are module-level so the process pool can pickle them.
-def root_stage(inputs, params, options):
+def root_stage(inputs, params):
     return params["value"]
 
 
-def double_stage(inputs, params, options):
+def double_stage(inputs, params):
     return inputs["root"] * 2
 
 

@@ -3,11 +3,8 @@
 ``GemmPerfModel`` hashes the fine quirk of a residue triple
 ``(k % 16, n % 32, m % 8)`` once, for every config at once, and reads
 it back for every later shape on the same triple.  These tests pin what
-gets hashed and when, and that the table never leaves the process with
-a pickled model; ``test_block.py`` pins the values themselves.
+gets hashed and when; ``test_block.py`` pins the values themselves.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +16,6 @@ from repro.perfmodel.model import GemmPerfModel
 from repro.sycl.device import Device
 from repro.workloads.extract import extract_dataset_shapes
 from repro.workloads.gemm import GemmShape
-from repro.workloads.synthetic import random_gemm_shapes
 
 CONFIGS = tuple(config_space())
 DATASET = tuple(extract_dataset_shapes()[0])
@@ -108,28 +104,3 @@ class TestOwnership:
         assert m._table is not first
         assert m._table.fine.shape == (16 * 32 * 8, len(small_configs))
         assert set(np.flatnonzero(m._table.fine_filled)) == residue_rows([shape])
-
-
-class TestPickling:
-    def test_swept_model_pickles_small(self):
-        m = GemmPerfModel(Device.r9_nano())
-        sweep(m, tuple(random_gemm_shapes(64, random_state=3)) + DATASET)
-        # Pickled, the table would weigh its full 5.0 MiB however few
-        # rows are filled.
-        assert m._table.fine.nbytes == 5 * 2**20
-        data = pickle.dumps(m)
-        assert len(data) < 2**20
-        clone = pickle.loads(data)
-        assert clone._table is None
-        assert m._table is not None
-        np.testing.assert_array_equal(
-            clone.times(DATASET[0], CONFIGS), m.times(DATASET[0], CONFIGS)
-        )
-
-    def test_pool_sweep_equals_serial(self, small_configs):
-        shapes = tuple(random_gemm_shapes(40, random_state=8))
-        runner = BenchmarkRunner(Device.r9_nano(), configs=small_configs)
-        serial = runner.run(shapes)
-        pooled = runner.run(shapes, max_workers=2)
-        np.testing.assert_array_equal(serial.seconds, pooled.seconds)
-        np.testing.assert_array_equal(serial.gflops, pooled.gflops)

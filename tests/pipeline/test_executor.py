@@ -7,25 +7,20 @@ from repro.pipeline.stage import Pipeline, Stage
 from repro.pipeline.store import ArtifactStore
 
 
-# Stage functions are module-level so the process pool can pickle them.
-def const_stage(inputs, params, options):
+def const_stage(inputs, params):
     return params["value"]
 
 
-def double_stage(inputs, params, options):
+def double_stage(inputs, params):
     return inputs["root"] * 2
 
 
-def triple_stage(inputs, params, options):
+def triple_stage(inputs, params):
     return inputs["root"] * 3
 
 
-def sum_stage(inputs, params, options):
+def sum_stage(inputs, params):
     return inputs["double"] + inputs["triple"]
-
-
-def workers_stage(inputs, params, options):
-    return options["max_workers"]
 
 
 def diamond() -> Pipeline:
@@ -87,28 +82,6 @@ class TestExecution:
     def test_unknown_param_stage_rejected(self, store):
         with pytest.raises(ValueError, match="unknown stages"):
             PipelineExecutor(store).run(diamond(), {"nope": {}})
-
-    def test_parallel_level_matches_serial(self, tmp_path):
-        serial = PipelineExecutor(
-            ArtifactStore(tmp_path / "s1"), max_workers=1
-        ).run(diamond(), PARAMS)
-        parallel = PipelineExecutor(
-            ArtifactStore(tmp_path / "s2"), max_workers=2
-        ).run(diamond(), PARAMS)
-        assert serial.value("sum") == parallel.value("sum")
-        # Same params => same fingerprints, independent of workers.
-        assert {e.stage: e.fingerprint for e in serial.stats.executions} == {
-            e.stage: e.fingerprint for e in parallel.stats.executions
-        }
-
-    def test_options_forwarded_to_stages(self, store):
-        p = Pipeline().add(Stage("w", workers_stage))
-        run = PipelineExecutor(store, max_workers=3).run(p, {})
-        assert run.value("w") == 3
-
-    def test_invalid_worker_count_rejected(self, store):
-        with pytest.raises(ValueError, match="max_workers"):
-            PipelineExecutor(store, max_workers=0)
 
 
 class TestProvenance:

@@ -5,7 +5,7 @@ from repro.pipeline.fingerprint import fingerprint_stage, params_digest
 from repro.pipeline.stage import Pipeline, Stage
 
 
-def noop(inputs, params, options):
+def noop(inputs, params):
     return None
 
 

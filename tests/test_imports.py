@@ -1,9 +1,10 @@
 """Importing the library loads no process machinery.
 
-The pool in :func:`repro.bench.parallel.parallel_map` and the ``git``
-call in :func:`repro.loadgen.report.git_revision` import what they need
-when they run, so a serving process never pays the resident memory of
-``multiprocessing``, ``concurrent.futures.process`` or ``subprocess``.
+Every sweep and pipeline stage runs in the calling process, and the
+``git`` call in :func:`repro.loadgen.report.git_revision` imports
+``subprocess`` only when it runs.  So neither a serving process nor an
+offline build pays the resident memory of ``multiprocessing``,
+``concurrent.futures`` or ``subprocess``.
 """
 
 import os
@@ -16,7 +17,8 @@ import repro
 _PROBE = """
 import sys
 import repro, repro.serving, repro.loadgen, repro.bench.runner
-heavy = ("multiprocessing", "concurrent.futures.process", "subprocess")
+import repro.pipeline, repro.core.dataset, repro.fleet, repro.onboard
+heavy = ("multiprocessing", "concurrent.futures", "subprocess")
 print(",".join(name for name in heavy if name in sys.modules))
 """
 
