@@ -27,6 +27,10 @@ from repro.serving import AdaptiveSelectionService, SelectionService
 
 N_QUERIES = 10_000
 ROUNDS = 22
+#: Paired rounds of the serving-path gate, each ``SERVE_REPEATS``
+#: passes over its 12-shape pool (~40 ms a side on a 2-vCPU host).
+SERVE_ROUNDS = 61
+SERVE_REPEATS = 400
 MAX_WARM_PATH_OVERHEAD = 0.05
 MAX_SINGLE_ADDED_US = 2.0
 MAX_BATCH_ADDED_US_PER_ITEM = 1.5
@@ -73,12 +77,16 @@ def _best_of_interleaved(fn_a, fn_b, rounds):
 def _paired_overhead(fn_test, fn_base, rounds):
     """Median of per-round paired time ratios, alternating order.
 
-    Each round times the two callables back to back, so slow machine
-    drift (thermal throttling, background load) hits both sides of a
-    pair equally; the median over rounds keeps any single noisy round
-    from moving the estimate.  Returns ``median(test / base) - 1``
-    plus the two median wall times for reporting.
+    One untimed round of each side comes first, so neither side's first
+    timed round pays for cold caches.  Each round then times the two
+    callables back to back, so slow machine drift (thermal throttling,
+    background load) hits both sides of a pair equally; the median over
+    rounds keeps any single noisy round from moving the estimate.
+    Returns ``median(test / base) - 1`` plus the two median wall times
+    for reporting.
     """
+    fn_test()
+    fn_base()
     ratios = []
     test_times = []
     base_times = []
@@ -136,7 +144,7 @@ def test_bench_adaptive_warm_serving_path_overhead(benchmark):
         router = fleet.router
 
         def run():
-            for _ in range(200):
+            for _ in range(SERVE_REPEATS):
                 for shape in pool:
                     decision = router.select(shape)
                     router.complete(decision.device_id)
@@ -144,11 +152,11 @@ def test_bench_adaptive_warm_serving_path_overhead(benchmark):
         return run
 
     overhead, adaptive_s, static_s = _paired_overhead(
-        serve_loop(adaptive), serve_loop(static), 30
+        serve_loop(adaptive), serve_loop(static), SERVE_ROUNDS
     )
     benchmark.pedantic(serve_loop(adaptive), rounds=3, iterations=1)
 
-    per_request = 200 * len(pool)
+    per_request = SERVE_REPEATS * len(pool)
     print(
         f"\nwarm serving path: adaptive "
         f"{adaptive_s / per_request * 1e6:.2f} us/req, static "

@@ -50,9 +50,15 @@ class CompiledSelector:
     lookup is a function call plus a list index — no NumPy, no
     allocation, no locks.  Decisions are identical to the selector the
     tree was compiled from.
+
+    ``memoise = False`` tells :class:`~repro.serving.SelectionService`
+    that a lookup is a pure function of the shape and costs no more
+    than a memo hit, so the service calls it directly on single lookups
+    instead of memoising it.
     """
 
     __slots__ = ("select", "_leaf_configs", "_dense", "compiled_tree")
+    memoise = False
 
     def __init__(self, compiled_tree, leaf_configs: Sequence[object]):
         self.compiled_tree = compiled_tree
@@ -100,8 +106,7 @@ class CompiledSelector:
         Faster per shape than the vectorized NumPy
         :meth:`DeployedSelector.select_batch` at every batch size.
         """
-        select = self.select
-        return tuple(select(shape) for shape in shapes)
+        return tuple(map(self.select, shapes))
 
     def __repr__(self) -> str:
         return f"CompiledSelector({len(self._leaf_configs)} leaf slots)"

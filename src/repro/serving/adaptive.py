@@ -14,9 +14,11 @@ adaptive GEMM selection (PAPERS.md, arXiv:2408.11417):
   ``adaptive.admission_hits`` (exact in every read, snapshot and
   reset; :mod:`repro.obs` folds the ticks in): serve the armed trial
   if one is pending, else the promoted override if one exists, else
-  hand shape and key to the wrapped
-  :class:`~repro.serving.service.SelectionService` (its lock-free
-  snapshot path).  All bandit mutation happens on the feedback path.
+  hand shape, key and ``base`` (the undegraded static answer recorded
+  at admission) to the wrapped
+  :class:`~repro.serving.service.SelectionService`, which serves
+  ``base`` as a counted direct lookup of a compiled tree, or reads
+  its memo snapshot.  All bandit mutation happens on the feedback path.
 * **Feedback** — callers report observed latencies via :meth:`record`;
   the per-shape :class:`~repro.adaptive.bandit.ShapeBandit` updates its
   decayed estimators, arms trials, and promotes/demotes configs.
@@ -240,7 +242,7 @@ class AdaptiveSelectionService:
             current = state.current
             if current is not None:
                 return current
-            return inner_select(shape, key)
+            return inner_select(shape, key, state.base)
 
         return select
 
@@ -302,13 +304,14 @@ class AdaptiveSelectionService:
             else:
                 pending.append(i)
         if pending:
-            resolved = self._service.select_batch(
-                [items[i] for i in pending]
-            )
+            service = self._service
+            degraded = service.degraded_serves
+            resolved = service.select_batch([items[i] for i in pending])
+            fresh = service.degraded_serves == degraded
             for i, config in zip(pending, resolved):
                 out[i] = config
                 key = items[i].as_tuple()
-                if self._states.get(key) is None:
+                if fresh and self._states.get(key) is None:
                     self._maybe_admit(key, config)
         if hits:
             self._c_hits.inc(hits)
@@ -366,8 +369,12 @@ class AdaptiveSelectionService:
 
     def _select_cold(self, shape: GemmShape, key: _Key) -> KernelConfig:
         self._c_misses.inc()
-        config = self._service.select(shape)
-        self._maybe_admit(key, config)
+        service = self._service
+        degraded = service.degraded_serves
+        config = service.select(shape)
+        # Only an undegraded answer may become the shape's ``base``.
+        if service.degraded_serves == degraded:
+            self._maybe_admit(key, config)
         return config
 
     def _maybe_admit(self, key: _Key, base: KernelConfig) -> None:

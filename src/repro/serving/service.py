@@ -10,6 +10,8 @@ machinery a production dispatch path needs:
   by a read-mostly snapshot dict so a *warm* hit costs one lock-free
   dict lookup rather than a model evaluation or even a lock acquisition
   (the paper's "negligible overhead" requirement at traffic scale);
+  a ``memoise = False`` policy (the compiled tree) is called directly
+  on single lookups;
 * misses resolved *outside* the service lock: concurrent misses for the
   same shape coordinate through an in-flight table so the policy runs
   at most once per unique shape, and one slow policy call never
@@ -56,11 +58,12 @@ class SelectionService:
     present.  ``capacity`` bounds the LRU memo.
 
     Lock discipline: the service lock guards the LRU, the in-flight
-    table and breaker state.  Warm single hits, and batches whose every
-    key is warm, read a plain snapshot dict without the lock (CPython
-    dict reads are atomic; the single writer mutates it under the
-    lock), so they do not refresh LRU recency — eviction order is
-    approximate-LRU under the lock-free fast path.
+    table and breaker state.  Direct single lookups take it only to
+    count an error or end an error streak.  Warm single hits, and
+    batches whose every key is warm, read a plain snapshot dict
+    without the lock (CPython dict reads are atomic; the single writer
+    mutates it under the lock), so they do not refresh LRU recency —
+    eviction order is approximate-LRU under the lock-free fast path.
     Policy evaluation always happens *outside* the lock with a
     double-checked insert, except the circuit breaker's half-open
     probes, which stay serialized to keep the probe schedule exact.
@@ -120,6 +123,7 @@ class SelectionService:
                 f"breaker_probe_interval must be >= 1, got {breaker_probe_interval}"
             )
         self._policy = policy
+        self._direct = not getattr(type(policy), "memoise", True)
         self._provenance = provenance
         self._capacity = capacity
         self._fallback = fallback
@@ -158,6 +162,7 @@ class SelectionService:
         self._consecutive_errors = 0
         self._open_misses = 0
         self._last_good: Optional[KernelConfig] = None
+        self._degraded_serves = 0
 
     @classmethod
     def from_artifact(cls, store, artifact_id: str, **kwargs) -> "SelectionService":
@@ -222,6 +227,11 @@ class SelectionService:
         """
         return self._breaker_open
 
+    @property
+    def degraded_serves(self) -> int:
+        """Degraded answers served; unlike stats, :meth:`clear` keeps it."""
+        return self._degraded_serves
+
     def watch_breaker(self, callback: Callable[[], None]) -> None:
         """Call ``callback()`` after every breaker transition.
 
@@ -234,29 +244,54 @@ class SelectionService:
 
     # -- serving APIs --------------------------------------------------------
 
-    def select(self, shape: GemmShape, key: Optional[_Key] = None) -> KernelConfig:
-        """The configuration for one shape, memoised.
+    def select(
+        self,
+        shape: GemmShape,
+        key: Optional[_Key] = None,
+        known: Optional[KernelConfig] = None,
+    ) -> KernelConfig:
+        """The configuration for one shape.
 
-        Warm hits are answered from the snapshot dict without taking
-        the service lock; misses coordinate through the in-flight table
-        (:meth:`_resolve_one`) so each unique shape consults the policy
-        exactly once even under contention.  ``key`` is
-        ``shape.as_tuple()``, passed by a caller that already built it
-        (the adaptive wrapper's warm path).
+        A ``memoise = False`` policy is called directly while the
+        breaker is closed, or, given ``known`` (an undegraded answer the
+        adaptive wrapper holds), serves that, counted and timed the
+        same.  Otherwise warm hits are answered from the snapshot dict
+        without the service lock; misses coordinate through the
+        in-flight table (:meth:`_resolve_one`) so each unique shape
+        consults the policy exactly once even under contention.
+        ``key`` is ``shape.as_tuple()``, passed by a caller that built it.
         """
         start = time.perf_counter()
-        if key is None:
-            key = shape.as_tuple()
-        config = self._snapshot.get(key)
-        if config is None:
-            config = self._resolve_one(shape, key)
+        if self._direct and not self._breaker_open:
+            self._c_lookups.tick()
+            self._c_single.tick()
+            if known is not None:
+                config = known
+            else:
+                try:
+                    config = self._policy.select(shape)
+                except Exception as exc:
+                    with self._lock:
+                        self._note_policy_error()
+                        config = self._serve_degraded(exc)
+                else:
+                    self._last_good = config
+                    if self._consecutive_errors:
+                        with self._lock:
+                            self._note_policy_success(None, config)
         else:
-            # Lock-free fast path.  The hit is counted before its
-            # lookup so a concurrent clear() can only ever leave
-            # hits <= lookups, never the reverse.
-            self._c_hits.inc()
-            self._c_single.inc()
-            self._c_lookups.inc()
+            if key is None:
+                key = shape.as_tuple()
+            config = self._snapshot.get(key)
+            if config is None:
+                config = self._resolve_one(shape, key)
+            else:
+                # Lock-free fast path.  The hit is counted before its
+                # lookup so a concurrent clear() can only ever leave
+                # hits <= lookups, never the reverse.
+                self._c_hits.inc()
+                self._c_single.inc()
+                self._c_lookups.inc()
         duration = time.perf_counter() - start
         self._h_call.observe(duration)
         self._h_lookup.observe(duration)
@@ -610,12 +645,14 @@ class SelectionService:
         self._note_policy_success(shape.as_tuple(), config)
         return config
 
-    def _note_policy_success(self, key: _Key, config: KernelConfig) -> None:
+    def _note_policy_success(self, key: Optional[_Key], config: KernelConfig) -> None:
+        """Reset the error streak and memoise ``key`` unless it is None."""
         self._consecutive_errors = 0
         if self._breaker_open:
             self._set_breaker(False)
         self._last_good = config
-        self._insert(key, config)
+        if key is not None:
+            self._insert(key, config)
 
     def _note_policy_error(self) -> None:
         self._c_policy_errors.inc()
@@ -649,6 +686,7 @@ class SelectionService:
                 "last-known-good configuration is available"
             )
         self._c_fallback_serves.inc()
+        self._degraded_serves += 1
         return config
 
     def _insert(self, key: _Key, config: KernelConfig) -> None:

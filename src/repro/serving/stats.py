@@ -8,9 +8,7 @@ paid in full, and how long the decision path takes when it is paid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.obs.metrics import Histogram
@@ -27,19 +25,6 @@ class LatencySummary:
     p50: float
     p95: float
     maximum: float
-
-    @staticmethod
-    def from_samples(samples: Sequence[float]) -> "LatencySummary":
-        if len(samples) == 0:
-            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0)
-        arr = np.asarray(samples, dtype=np.float64)
-        return LatencySummary(
-            count=int(arr.size),
-            mean=float(arr.mean()),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            maximum=float(arr.max()),
-        )
 
     @staticmethod
     def from_histogram(histogram: "Histogram") -> "LatencySummary":

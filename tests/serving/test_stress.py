@@ -60,6 +60,21 @@ class _SometimesFailingPolicy(_CountingPolicy):
         return expected(shape)
 
 
+class _DirectPolicy:
+    """A policy the service calls directly; raises while ``down`` is set."""
+
+    memoise = False
+    down = False
+
+    def select(self, shape):
+        if self.down:
+            raise DeviceError("backend down")
+        return expected(shape)
+
+    def select_batch(self, shapes):
+        return tuple(map(self.select, shapes))
+
+
 def hammer(worker, n_threads=N_THREADS):
     """Run ``worker(thread_index)`` on N threads; re-raise any error."""
     errors = []
@@ -252,3 +267,68 @@ class TestConcurrentServing:
         assert stats.cache_hits <= stats.lookups
         assert stats.cache_size <= 4
         assert service._inflight == {}
+
+    def test_direct_lookups_race_clear_and_breaker_flips(self):
+        # A direct policy's singles skip the memo and its lock; a
+        # controller thread clears the service and trips and resets the
+        # breaker underneath them.
+        policy = _DirectPolicy()
+        # Workers ask only for shapes the policy answers with CONFIGS[1:4].
+        shapes = WIDE_SHAPES[0::8] + WIDE_SHAPES[1::8] + WIDE_SHAPES[2::8]
+        fallback = CONFIGS[-1]
+        service = SelectionService(
+            policy, fallback=fallback, breaker_threshold=3, breaker_probe_interval=2
+        )
+        assert service._direct
+        # A degraded answer is the fallback or a last-known-good one.
+        degraded = {fallback} | {expected(s) for s in shapes}
+        wrong = []
+        # Answers other than the shape's own, per thread; each needs a
+        # degraded serve, and degraded_serves survives clear().
+        others = [0] * (N_THREADS + 1)
+        done = threading.Event()
+
+        def worker(tid):
+            if tid == 0:
+                for _ in range(50):
+                    policy.down = True
+                    while not service.breaker_open:
+                        if service.select(SHAPES[0]) != expected(SHAPES[0]):
+                            others[0] += 1
+                    policy.down = False
+                    service.reset_breaker()
+                    service.clear()
+                done.set()
+                return
+            rng = random.Random(tid)
+            while not done.is_set():
+                shape = rng.choice(shapes)
+                config = service.select(shape)
+                if config != expected(shape):
+                    others[tid] += 1
+                    if config not in degraded:
+                        wrong.append((shape, config))
+
+        def final_round(tid):
+            for shape in shapes:
+                config = service.select(shape)
+                if config != expected(shape):
+                    wrong.append((shape, config))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(worker, n_threads=N_THREADS + 1)
+            assert sum(others) <= service.degraded_serves
+            service.clear()
+            # The policy is up and the breaker closed: every answer is
+            # the shape's own.
+            hammer(final_round)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        stats = service.stats()
+        assert stats.lookups == stats.single_calls == N_THREADS * len(shapes)
+        assert stats.cache_hits == 0
+        assert stats.policy_errors == stats.fallback_serves == 0
+        assert not stats.breaker_open
