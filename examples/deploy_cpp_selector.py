@@ -10,6 +10,7 @@ instantiations ... adds a cost in terms of library size and build
 times").
 
 Run:  python examples/deploy_cpp_selector.py
+(exits non-zero if the generated Python disagrees with the selector)
 """
 
 from pathlib import Path
@@ -55,6 +56,9 @@ def main() -> None:
     )
     print(f"codegen check: {mismatches} mismatches over "
           f"{dataset.n_shapes} shapes")
+    if mismatches:
+        raise SystemExit("codegen check failed: the generated Python "
+                         "disagrees with the live selector")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ nested-``if`` implementation can be exported as Python or C++ source.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from repro.core.selection.selector import Selector
 from repro.kernels.matmul import matmul
 from repro.kernels.params import KernelConfig
 from repro.kernels.registry import KernelLibrary
-from repro.ml.tree.export import export_cpp, export_python
+from repro.ml.tree.codegen import _CPP, _PYTHON, _function_source, compile_tree
+from repro.ml.tree.structure import LEAF, Tree
 from repro.sycl.kernel import Kernel
 from repro.sycl.queue import Queue
 from repro.workloads.gemm import GemmShape
@@ -182,8 +183,6 @@ class DeployedSelector:
         A degenerate constant selector (one in-set config dominated
         training) is a single leaf answering that config for every shape.
         """
-        from repro.ml.tree.structure import LEAF, Tree
-
         if getattr(self.selector, "_constant", None) is not None:
             return Tree(
                 feature=np.array([LEAF], dtype=np.int64),
@@ -203,13 +202,6 @@ class DeployedSelector:
             )
         return tree
 
-    def _classes(self) -> np.ndarray:
-        """Pruned-set position of each class a :meth:`_tree` leaf votes for."""
-        constant = getattr(self.selector, "_constant", None)
-        if constant is not None:
-            return np.array([constant])
-        return self.selector.estimator.classes_
-
     def _feature_names(self) -> Tuple[str, ...]:
         """Argument names for the generated dispatch function.
 
@@ -227,32 +219,36 @@ class DeployedSelector:
             return SparseGemmShape.FEATURE_NAMES
         return GemmShape.FEATURE_NAMES
 
-    def _config_tokens(self) -> Tuple[str, ...]:
-        # Leaf classes are positions into the pruned set; map through the
-        # selector's training classes to configuration names.
-        return tuple(
-            self.selector.pruned.configs[int(c)].short_name()
-            for c in self._classes()
+    def _leaf_configs(self) -> Tuple[Tree, List[KernelConfig]]:
+        """:meth:`_tree` and the configuration each of its nodes answers.
+
+        Argmax over the node's class distribution, through the training
+        classes to a position in the pruned set — exactly the
+        classifier's predict.  Both source exporters and
+        :meth:`compiled` read this one table.
+        """
+        tree = self._tree()
+        constant = getattr(self.selector, "_constant", None)
+        classes = (
+            [constant] if constant is not None else self.selector.estimator.classes_
         )
+        configs = self.selector.pruned.configs
+        return tree, [configs[int(classes[w])] for w in tree.value.argmax(axis=1)]
 
     def export_python(self, *, function_name: str = "select_kernel") -> str:
         """The selection process as a standalone Python function."""
-        return export_python(
-            self._tree(),
-            function_name=function_name,
-            feature_names=list(self._feature_names()),
-            class_names=self._config_tokens(),
-        )
+        tree, configs = self._leaf_configs()
+        leaves = [repr(config.short_name()) for config in configs]
+        names = self._feature_names()
+        return _function_source(tree, _PYTHON, function_name, names, leaves)
 
     def export_cpp(self, *, function_name: str = "select_kernel") -> str:
         """The selection process as nested C++ ifs (library dispatch)."""
-        tokens = tuple(f'"{t}"' for t in self._config_tokens())
-        return export_cpp(
-            self._tree(),
-            function_name=function_name,
-            feature_names=list(self._feature_names()),
-            class_names=tokens,
-            return_type="const char*",
+        tree, configs = self._leaf_configs()
+        leaves = [f'"{config.short_name()}"' for config in configs]
+        names = self._feature_names()
+        return _function_source(
+            tree, _CPP, function_name, names, leaves, "const char*"
         )
 
     def compiled(self) -> CompiledSelector:
@@ -270,22 +266,9 @@ class DeployedSelector:
         ``MAX_SOURCE_DEPTH`` raises ``ValueError``; :meth:`select` still
         serves it.
         """
-        from repro.ml.tree.codegen import compile_tree
-        from repro.ml.tree.structure import LEAF
-
-        configs = self.selector.pruned.configs
-        tree = self._tree()
+        tree, configs = self._leaf_configs()
         compiled_tree = compile_tree(tree, feature_names=self._feature_names())
-        # Pre-resolve each leaf to its configuration: argmax over the
-        # leaf's class distribution, through the training classes to a
-        # position in the pruned set — exactly the classifier's predict.
-        classes = self._classes()
-        leaf_configs: list = [None] * tree.node_count
-        for node in range(tree.node_count):
-            if tree.feature[node] == LEAF:
-                position = int(classes[int(np.argmax(tree.value[node]))])
-                leaf_configs[node] = configs[position]
-        return CompiledSelector(compiled_tree, leaf_configs)
+        return CompiledSelector(compiled_tree, configs)
 
     def __repr__(self) -> str:
         return (

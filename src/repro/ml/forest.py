@@ -10,7 +10,7 @@ layer's active sampler uses as its uncertainty signal
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,13 +23,61 @@ from repro.utils.validation import check_array, check_positive_int
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
 
 
-class RandomForestClassifier(BaseEstimator):
+class _Forest(BaseEstimator):
+    """The bagging loop both forests share: each ``_tree_class`` tree
+    fits ``size`` rows (a bootstrap resample, a subsample without
+    replacement when ``size < n``, or every row), then draws its
+    ``random_state`` from the forest's RNG."""
+
+    _tree_class: type
+
+    def _resolve_max_features(self, n_features: int) -> Optional[int]:
+        mf = self.max_features
+        if mf is None:
+            return None
+        if mf == "sqrt":
+            return max(1, int(np.sqrt(n_features)))
+        if mf == "log2":
+            return max(1, int(np.log2(n_features)))
+        if isinstance(mf, (int, np.integer)):
+            return int(min(mf, n_features))
+        raise ValueError(f"unsupported max_features {mf!r}")
+
+    def _bag(self, X: np.ndarray, y: np.ndarray, size: int) -> None:
+        if len(X) != len(y):
+            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
+        check_positive_int(self.n_estimators, "n_estimators")
+        rng = rng_from(self.random_state)
+        n = len(X)
+        max_features = self._resolve_max_features(X.shape[1])
+        self.estimators_ = []
+        for _ in range(self.n_estimators):
+            if self.bootstrap:
+                sample = rng.integers(0, n, size=size)
+            elif size < n:
+                sample = rng.choice(n, size=size, replace=False)
+            else:
+                sample = np.arange(n)
+            tree = self._tree_class(
+                max_depth=self.max_depth,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=max_features,
+                random_state=int(rng.integers(2**31 - 1)),
+            )
+            tree.fit(X[sample], y[sample])
+            self.estimators_.append(tree)
+        self.n_features_in_ = X.shape[1]
+
+
+class RandomForestClassifier(_Forest):
     """Bootstrap-aggregated decision trees (Breiman 2001).
 
     Each tree is trained on a bootstrap resample with ``sqrt(n_features)``
     features considered per split (the classification default).
     Predictions average the trees' class probability vectors.
     """
+
+    _tree_class = DecisionTreeClassifier
 
     def __init__(
         self,
@@ -48,46 +96,11 @@ class RandomForestClassifier(BaseEstimator):
         self.bootstrap = bootstrap
         self.random_state = random_state
 
-    def _resolve_max_features(self, n_features: int) -> Optional[int]:
-        mf = self.max_features
-        if mf is None:
-            return None
-        if mf == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if mf == "log2":
-            return max(1, int(np.log2(n_features)))
-        if isinstance(mf, (int, np.integer)):
-            return int(min(mf, n_features))
-        raise ValueError(f"unsupported max_features {mf!r}")
-
     def fit(self, X, y) -> "RandomForestClassifier":
         X = check_array(X, name="X")
         y = np.asarray(y)
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-        check_positive_int(self.n_estimators, "n_estimators")
-        rng = rng_from(self.random_state)
         self.classes_ = np.unique(y)
-        n = len(X)
-        max_features = self._resolve_max_features(X.shape[1])
-
-        self.estimators_: List[DecisionTreeClassifier] = []
-        self._estimator_classes: List[np.ndarray] = []
-        for _ in range(self.n_estimators):
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=n)
-            else:
-                sample = np.arange(n)
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=max_features,
-                random_state=int(rng.integers(2**31 - 1)),
-            )
-            tree.fit(X[sample], y[sample])
-            self.estimators_.append(tree)
-            self._estimator_classes.append(tree.classes_)
-        self.n_features_in_ = X.shape[1]
+        self._bag(X, y, len(X))
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -95,11 +108,10 @@ class RandomForestClassifier(BaseEstimator):
         X = check_array(X, name="X")
         proba = np.zeros((X.shape[0], len(self.classes_)))
         class_pos = {c: i for i, c in enumerate(self.classes_.tolist())}
-        for tree, tree_classes in zip(self.estimators_, self._estimator_classes):
-            tree_proba = tree.predict_proba(X)
+        for tree in self.estimators_:
             # A bootstrap sample may miss classes; align columns.
-            cols = [class_pos[c] for c in tree_classes.tolist()]
-            proba[:, cols] += tree_proba
+            cols = [class_pos[c] for c in tree.classes_.tolist()]
+            proba[:, cols] += tree.predict_proba(X)
         proba /= len(self.estimators_)
         return proba
 
@@ -112,7 +124,7 @@ class RandomForestClassifier(BaseEstimator):
         return accuracy_score(np.asarray(y), self.predict(X))
 
 
-class RandomForestRegressor(BaseEstimator):
+class RandomForestRegressor(_Forest):
     """Bootstrap-aggregated MSE regression trees (single-output).
 
     Predictions average the trees; :meth:`predict_std` returns the
@@ -123,6 +135,8 @@ class RandomForestRegressor(BaseEstimator):
     large stacked datasets (the onboarding imputer trains over every
     fleet device's table at once).
     """
+
+    _tree_class = DecisionTreeRegressor
 
     def __init__(
         self,
@@ -143,41 +157,15 @@ class RandomForestRegressor(BaseEstimator):
         self.bootstrap = bootstrap
         self.random_state = random_state
 
-    # Same string conventions as the classifier.
-    _resolve_max_features = RandomForestClassifier._resolve_max_features
-
     def fit(self, X, y) -> "RandomForestRegressor":
         X = check_array(X, name="X")
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 1:
             raise ValueError(f"y must be 1-D, got shape {y.shape}")
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-        check_positive_int(self.n_estimators, "n_estimators")
         if self.max_samples is not None:
             check_positive_int(self.max_samples, "max_samples")
-        rng = rng_from(self.random_state)
-        n = len(X)
-        size = n if self.max_samples is None else min(self.max_samples, n)
-        max_features = self._resolve_max_features(X.shape[1])
-
-        self.estimators_: List[DecisionTreeRegressor] = []
-        for _ in range(self.n_estimators):
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=size)
-            elif size < n:
-                sample = rng.choice(n, size=size, replace=False)
-            else:
-                sample = np.arange(n)
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=max_features,
-                random_state=int(rng.integers(2**31 - 1)),
-            )
-            tree.fit(X[sample], y[sample])
-            self.estimators_.append(tree)
-        self.n_features_in_ = X.shape[1]
+        size = len(X) if self.max_samples is None else min(self.max_samples, len(X))
+        self._bag(X, y, size)
         return self
 
     def _tree_predictions(self, X) -> np.ndarray:
@@ -190,10 +178,7 @@ class RandomForestRegressor(BaseEstimator):
 
     def predict_std(self, X) -> np.ndarray:
         """Cross-tree standard deviation per row (0.0 for one tree)."""
-        preds = self._tree_predictions(X)
-        if preds.shape[0] == 1:
-            return np.zeros(preds.shape[1])
-        return preds.std(axis=0)
+        return self.predict_with_std(X)[1]
 
     def predict_with_std(self, X) -> tuple[np.ndarray, np.ndarray]:
         """(mean, cross-tree std) in one ensemble pass."""

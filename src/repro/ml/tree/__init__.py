@@ -9,9 +9,10 @@ Growth strategies:
   tree pruner: "limiting the number of leaf nodes in the decision tree
   ensures the tree only produces a restricted number of vectors".
 
-The fitted tree is a flat array structure (:class:`~repro.ml.tree.structure.Tree`)
-that predicts without recursion and can be exported as nested ``if``
-statements (:mod:`repro.ml.tree.export`) — the paper's deployment target.
+Both estimators share one base.  The fitted tree is a flat array
+structure (:class:`~repro.ml.tree.structure.Tree`) that predicts without
+recursion; one walker (:mod:`repro.ml.tree.codegen`) renders it as
+nested ``if`` Python or C++ — the paper's deployment target — or text.
 """
 
 from repro.ml.tree.structure import Tree

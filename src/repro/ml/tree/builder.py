@@ -1,4 +1,5 @@
-"""Tree growth: depth-first CART and best-first with a leaf budget."""
+"""Tree growth: depth-first CART and best-first with a leaf budget, and
+the base both CART estimators grow through."""
 
 from __future__ import annotations
 
@@ -9,9 +10,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.ml.base import BaseEstimator, check_is_fitted
 from repro.ml.tree.criteria import _CumulativeCriterion
 from repro.ml.tree.splitter import Split, find_best_split
 from repro.ml.tree.structure import Tree, TreeBuilderState
+from repro.utils.rng import rng_from
+from repro.utils.validation import check_array
 
 __all__ = ["GrowthParams", "grow_best_first", "grow_depth_first"]
 
@@ -197,3 +201,61 @@ def grow_best_first(
         push(left, left_idx, entry.depth + 1)
         push(right, right_idx, entry.depth + 1)
     return state.freeze()
+
+
+class _CARTEstimator(BaseEstimator):
+    """Parameters, growth and predict checks of both CART estimators.
+
+    Subclasses name their ``_criterion`` and pass :meth:`_grow` a 2-D
+    float target; growth is best-first under ``max_leaf_nodes``.
+    """
+
+    _criterion: type
+
+    def __init__(
+        self,
+        *,
+        max_depth: Optional[int] = None,
+        min_samples_split: int = 2,
+        min_samples_leaf: int = 1,
+        max_leaf_nodes: Optional[int] = None,
+        max_features: Optional[int] = None,
+        random_state=None,
+    ):
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        self.min_samples_leaf = min_samples_leaf
+        self.max_leaf_nodes = max_leaf_nodes
+        self.max_features = max_features
+        self.random_state = random_state
+
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Fit ``tree_`` to the validated ``X`` and 2-D target ``y``."""
+        if len(X) != len(y):
+            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
+        params = GrowthParams(
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_leaf_nodes=self.max_leaf_nodes,
+            max_features=self.max_features,
+        )
+        rng = rng_from(self.random_state) if self.random_state is not None else None
+        grow = grow_depth_first if self.max_leaf_nodes is None else grow_best_first
+        self.tree_ = grow(X, y, self._criterion(), params, rng)
+        self.n_features_in_ = X.shape[1]
+
+    def _predict_value(self, X) -> np.ndarray:
+        """Each row's leaf value, after the fitted and width checks."""
+        check_is_fitted(self, "tree_")
+        X = check_array(X, name="X")
+        if X.shape[1] != self.n_features_in_:
+            raise ValueError(
+                f"X has {X.shape[1]} features; fit used {self.n_features_in_}"
+            )
+        return self.tree_.predict_value(X)
+
+    @property
+    def n_leaves_(self) -> int:
+        check_is_fitted(self, "tree_")
+        return self.tree_.n_leaves

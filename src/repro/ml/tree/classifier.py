@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.ml.base import BaseEstimator, check_is_fitted
-from repro.ml.tree.builder import GrowthParams, grow_best_first, grow_depth_first
+from repro.ml.tree.builder import _CARTEstimator
 from repro.ml.tree.criteria import GiniCriterion
-from repro.utils.rng import rng_from
 from repro.utils.validation import check_array
 
 __all__ = ["DecisionTreeClassifier"]
 
 
-class DecisionTreeClassifier(BaseEstimator):
+class DecisionTreeClassifier(_CARTEstimator):
     """CART classifier with Gini impurity.
 
     Supports depth-first growth or best-first growth under a
@@ -23,58 +19,21 @@ class DecisionTreeClassifier(BaseEstimator):
     store class probability vectors, so :meth:`predict_proba` is free.
     """
 
-    def __init__(
-        self,
-        *,
-        max_depth: Optional[int] = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_leaf_nodes: Optional[int] = None,
-        max_features: Optional[int] = None,
-        random_state=None,
-    ):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_leaf_nodes = max_leaf_nodes
-        self.max_features = max_features
-        self.random_state = random_state
+    _criterion = GiniCriterion
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X = check_array(X, name="X")
         y = np.asarray(y)
         if y.ndim != 1:
             raise ValueError(f"y must be 1-D labels, got shape {y.shape}")
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
         self.classes_, encoded = np.unique(y, return_inverse=True)
         onehot = np.zeros((len(y), len(self.classes_)), dtype=np.float64)
         onehot[np.arange(len(y)), encoded] = 1.0
-
-        params = GrowthParams(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_leaf_nodes=self.max_leaf_nodes,
-            max_features=self.max_features,
-        )
-        rng = rng_from(self.random_state) if self.random_state is not None else None
-        criterion = GiniCriterion()
-        if self.max_leaf_nodes is not None:
-            self.tree_ = grow_best_first(X, onehot, criterion, params, rng)
-        else:
-            self.tree_ = grow_depth_first(X, onehot, criterion, params, rng)
-        self.n_features_in_ = X.shape[1]
+        self._grow(X, onehot)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, "tree_")
-        X = check_array(X, name="X")
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; fit used {self.n_features_in_}"
-            )
-        return self.tree_.predict_value(X)
+        return self._predict_value(X)
 
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -84,8 +43,3 @@ class DecisionTreeClassifier(BaseEstimator):
         from repro.ml.metrics import accuracy_score
 
         return accuracy_score(np.asarray(y), self.predict(X))
-
-    @property
-    def n_leaves_(self) -> int:
-        check_is_fitted(self, "tree_")
-        return self.tree_.n_leaves

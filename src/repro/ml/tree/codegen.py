@@ -1,22 +1,25 @@
-"""Compilation of a fitted tree into sub-microsecond scalar dispatch.
+"""One nested-``if`` walker for every form a fitted tree is rendered in.
 
 The paper's deployment argument is that a decision tree "compiles to
-nested if statements" with negligible dispatch overhead.  This module
-takes that literally for the in-process hot path: a fitted
-:class:`~repro.ml.tree.structure.Tree` is emitted as nested-``if``
-Python source (every leaf a ``return <node_id>``), then
-``compile()``/``exec``'d into a plain function that descends the tree
-for *one* sample: one call, a handful of float comparisons, one return.
+nested if statements" with negligible dispatch overhead.
+:func:`_nested_ifs` walks a fitted :class:`~repro.ml.tree.structure.Tree`
+once, spelling it from a per-language :class:`_Syntax` row: Python
+(:func:`tree_apply_source`, :func:`~repro.ml.tree.export.export_python`),
+C++ (:func:`~repro.ml.tree.export.export_cpp`) or indented text
+(:func:`~repro.ml.tree.export.export_text`).
 
+:func:`compile_tree` ``exec``s the Python form, every leaf a ``return
+<node_id>``, into a plain function that descends the tree for *one*
+sample: one call, a handful of float comparisons, one return.
 Comparisons are the same ``x <= threshold`` as the reference walk
 :meth:`Tree.decision_path_nodes`, so a NaN feature descends right in
-both.  :func:`repro.ml.tree.export.export_python` shares the emitter,
-with class labels instead of node ids at the leaves.
+both.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+import keyword
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,22 +32,81 @@ __all__ = [
     "tree_apply_source",
 ]
 
-#: Deepest tree the nested-``if`` emitter will write.  CPython's
+#: Deepest tree the nested-``if`` Python emitter will write.  CPython's
 #: tokenizer rejects more than 100 indentation levels; deeper trees are
 #: served by the NumPy descent of ``DeployedSelector.select`` and
 #: ``select_batch`` instead.
 MAX_SOURCE_DEPTH = 90
 
 
+class _Syntax(NamedTuple):
+    """``str.format`` templates of one form: ``split`` and ``orelse``
+    get ``name``, threshold ``t`` and precision ``p``; ``leaf`` gets the
+    label and sample count ``n``; ``close`` is a literal line."""
+
+    split: str
+    orelse: str
+    close: str
+    leaf: str
+    indent: str
+
+
+_PYTHON = _Syntax("if {name} <= {t!r}:", "else:", "", "return {}", "    ")
+_CPP = _Syntax("if ({name} <= {t!r}) {{", "}} else {{", "}", "return {};", "  ")
+_TEXT = _Syntax(
+    "|--- {name} <= {t:.{p}f}",
+    "|--- {name} >  {t:.{p}f}",
+    "",
+    "|--- value: {} (n={n})",
+    "|   ",
+)
+
+
+def _nested_ifs(
+    tree: Tree,
+    syntax: _Syntax,
+    names: Sequence[str],
+    leaves,
+    depth: int = 1,
+    precision: int = 0,
+) -> List[str]:
+    """``tree``'s lines in ``syntax`` from ``depth``; ``names[f]`` spells
+    feature ``f`` and ``leaves[node]`` labels a leaf."""
+    lines: List[str] = []
+
+    def walk(node: int, depth: int) -> None:
+        pad = syntax.indent * depth
+        if tree.feature[node] == LEAF:
+            label = syntax.leaf.format(leaves[node], n=tree.n_samples[node])
+            lines.append(pad + label)
+            return
+        # ``float`` first, so ``{t!r}`` round-trips the threshold exactly.
+        fields = {
+            "name": names[tree.feature[node]],
+            "t": float(tree.threshold[node]),
+            "p": precision,
+        }
+        lines.append(pad + syntax.split.format(**fields))
+        walk(int(tree.left[node]), depth + 1)
+        lines.append(pad + syntax.orelse.format(**fields))
+        walk(int(tree.right[node]), depth + 1)
+        if syntax.close:
+            lines.append(pad + syntax.close)
+
+    walk(0, depth)
+    return lines
+
+
 def _feature_arg_names(
-    tree: Tree, feature_names: Optional[Sequence[str]]
+    tree: Tree, feature_names: Optional[Sequence[str]], function_name: str
 ) -> Tuple[str, ...]:
-    """Validated argument names for the generated descent function.
+    """Validated argument names for a generated descent function.
 
     When ``feature_names`` is omitted the width is inferred from the
     highest feature the tree actually splits on; selectors should pass
     the full trained feature width so unused trailing features stay in
-    the signature.
+    the signature.  Non-identifiers and Python keywords are rejected,
+    for ``function_name`` too, so the emitted Python always compiles.
     """
     if feature_names is None:
         width = int(tree.feature.max(initial=-1)) + 1
@@ -57,50 +119,39 @@ def _feature_arg_names(
                 f"tree splits on feature {needed - 1} but only "
                 f"{len(feature_names)} feature names were given"
             )
-    for name in feature_names:
-        if not name.isidentifier():
-            raise ValueError(f"feature name {name!r} is not an identifier")
+    kinds = ["function name"] + ["feature name"] * len(feature_names)
+    for kind, name in zip(kinds, (function_name, *feature_names)):
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise ValueError(f"{kind} {name!r} is a keyword or not an identifier")
     return feature_names
 
 
-def _nested_if_source(
+def _function_source(
     tree: Tree,
+    syntax: _Syntax,
     function_name: str,
     feature_names: Optional[Sequence[str]],
-    leaf: Callable[[int], str],
+    leaves,
+    return_type: str = "",
 ) -> str:
-    """Python source of one function descending ``tree`` as nested ifs.
-
-    ``leaf(node)`` is the expression a leaf returns.  Thresholds are
-    emitted with ``repr`` and round-trip exactly.  Non-identifier names
-    and trees too deep for CPython's parser are rejected, so the
-    emitted text always compiles.
-    """
-    if not function_name.isidentifier():
-        raise ValueError(f"function name {function_name!r} is not an identifier")
-    names = _feature_arg_names(tree, feature_names)
-    depth_cap = tree.max_depth
-    if depth_cap > MAX_SOURCE_DEPTH:
-        raise ValueError(
-            f"tree depth {depth_cap} exceeds the nested-if source limit "
-            f"(MAX_SOURCE_DEPTH = {MAX_SOURCE_DEPTH}); serve it through "
-            "the NumPy DeployedSelector.select/select_batch instead"
-        )
-    lines: List[str] = [f"def {function_name}({', '.join(names)}):"]
-
-    def walk(node: int, depth: int) -> None:
-        indent = "    " * depth
-        if tree.feature[node] == LEAF:
-            lines.append(f"{indent}return {leaf(node)}")
-            return
-        f, t = int(tree.feature[node]), float(tree.threshold[node])
-        lines.append(f"{indent}if {names[f]} <= {t!r}:")
-        walk(int(tree.left[node]), depth + 1)
-        lines.append(f"{indent}else:")
-        walk(int(tree.right[node]), depth + 1)
-
-    walk(0, 1)
-    return "\n".join(lines) + "\n"
+    """Python (or, for ``_CPP``, C++) source of one function descending
+    ``tree`` as nested ifs, ``leaves[node]`` the expression a leaf
+    returns.  Only Python has a depth cap."""
+    names = _feature_arg_names(tree, feature_names, function_name)
+    if syntax is _CPP:
+        params = ", ".join(f"double {name}" for name in names)
+        head, tail = f"{return_type} {function_name}({params}) {{", "}\n"
+    else:
+        depth_cap = tree.max_depth
+        if depth_cap > MAX_SOURCE_DEPTH:
+            raise ValueError(
+                f"tree depth {depth_cap} exceeds the nested-if source limit "
+                f"(MAX_SOURCE_DEPTH = {MAX_SOURCE_DEPTH}); serve it through "
+                "the NumPy DeployedSelector.select/select_batch instead"
+            )
+        head, tail = f"def {function_name}({', '.join(names)}):", ""
+    lines = [head, *_nested_ifs(tree, syntax, names, leaves)]
+    return "\n".join(lines) + "\n" + tail
 
 
 def tree_apply_source(
@@ -117,7 +168,8 @@ def tree_apply_source(
     per-leaf payload (class, config, pointer) on top with one list
     index.
     """
-    return _nested_if_source(tree, function_name, feature_names, str)
+    leaves = range(tree.node_count)
+    return _function_source(tree, _PYTHON, function_name, feature_names, leaves)
 
 
 class CompiledTree:
@@ -179,7 +231,7 @@ def compile_tree(
 
     Trees deeper than :data:`MAX_SOURCE_DEPTH` raise ``ValueError``.
     """
-    names = _feature_arg_names(tree, feature_names)
+    names = _feature_arg_names(tree, feature_names, function_name)
     source = tree_apply_source(
         tree, function_name=function_name, feature_names=names
     )

@@ -3,27 +3,30 @@
 Section IV's deployment argument is that "decision trees can be
 implemented as a series of nested if statements".  These exporters emit
 exactly that — Python for in-process use and C++ for dropping into a
-SYCL library's dispatch layer — from any fitted tree.
+SYCL library's dispatch layer — from any fitted tree.  All three are
+rows of the one walker in :mod:`repro.ml.tree.codegen`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.ml.tree.codegen import _nested_if_source
+from repro.ml.tree.codegen import _CPP, _PYTHON, _TEXT, _function_source, _nested_ifs
 from repro.ml.tree.structure import LEAF, Tree
 
 __all__ = ["export_cpp", "export_python", "export_text"]
 
 
-def _leaf_label(tree: Tree, node: int, class_names: Optional[Sequence[str]]) -> str:
-    value = tree.value[node]
-    winner = int(np.argmax(value))
-    if class_names is not None:
-        return str(class_names[winner])
-    return str(winner)
+def _class_labels(
+    tree: Tree, class_names: Optional[Sequence[str]]
+) -> Dict[int, str]:
+    """Each leaf's argmax class, by index or ``class_names`` entry."""
+    winners = tree.value.argmax(axis=1)
+    labels = range(tree.value.shape[1]) if class_names is None else class_names
+    leaves = np.flatnonzero(tree.feature == LEAF).tolist()
+    return {node: str(labels[winners[node]]) for node in leaves}
 
 
 def export_text(
@@ -34,28 +37,13 @@ def export_text(
     precision: int = 2,
 ) -> str:
     """An indented textual rendering of the decision structure."""
-
-    def fname(f: int) -> str:
-        return feature_names[f] if feature_names is not None else f"x[{f}]"
-
-    lines: List[str] = []
-
-    def walk(node: int, depth: int) -> None:
-        indent = "|   " * depth
-        if tree.feature[node] == LEAF:
-            lines.append(
-                f"{indent}|--- value: {_leaf_label(tree, node, class_names)} "
-                f"(n={tree.n_samples[node]})"
-            )
-            return
-        f, t = int(tree.feature[node]), tree.threshold[node]
-        lines.append(f"{indent}|--- {fname(f)} <= {t:.{precision}f}")
-        walk(int(tree.left[node]), depth + 1)
-        lines.append(f"{indent}|--- {fname(f)} >  {t:.{precision}f}")
-        walk(int(tree.right[node]), depth + 1)
-
-    walk(0, 0)
-    return "\n".join(lines)
+    if feature_names is None:
+        width = int(tree.feature.max(initial=-1)) + 1
+        feature_names = [f"x[{f}]" for f in range(width)]
+    labels = _class_labels(tree, class_names)
+    return "\n".join(
+        _nested_ifs(tree, _TEXT, feature_names, labels, 0, precision)
+    )
 
 
 def export_python(
@@ -72,12 +60,9 @@ def export_python(
     emitter is the one :func:`repro.ml.tree.codegen.tree_apply_source`
     uses, so invalid names and over-deep trees raise ``ValueError``.
     """
-    return _nested_if_source(
-        tree,
-        function_name,
-        feature_names,
-        lambda node: repr(_leaf_label(tree, node, class_names)),
-    )
+    labels = _class_labels(tree, class_names)
+    leaves = {node: repr(label) for node, label in labels.items()}
+    return _function_source(tree, _PYTHON, function_name, feature_names, leaves)
 
 
 def export_cpp(
@@ -92,25 +77,10 @@ def export_cpp(
 
     With ``class_names`` given, leaves return those tokens verbatim (e.g.
     enum values or template-instantiation tags); otherwise the class index.
+    Names go through the Python emitter's checks, so invalid names raise
+    ``ValueError``; there is no depth cap.
     """
-    n_features = int(tree.feature.max(initial=0)) + 1
-    if feature_names is None:
-        feature_names = [f"x{i}" for i in range(n_features)]
-    params = ", ".join(f"double {name}" for name in feature_names)
-    lines = [f"{return_type} {function_name}({params}) {{"]
-
-    def walk(node: int, depth: int) -> None:
-        indent = "  " * depth
-        if tree.feature[node] == LEAF:
-            lines.append(f"{indent}return {_leaf_label(tree, node, class_names)};")
-            return
-        f, t = int(tree.feature[node]), float(tree.threshold[node])
-        lines.append(f"{indent}if ({feature_names[f]} <= {t!r}) {{")
-        walk(int(tree.left[node]), depth + 1)
-        lines.append(f"{indent}}} else {{")
-        walk(int(tree.right[node]), depth + 1)
-        lines.append(f"{indent}}}")
-
-    walk(0, 1)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = _class_labels(tree, class_names)
+    return _function_source(
+        tree, _CPP, function_name, feature_names, labels, return_type
+    )

@@ -8,38 +8,20 @@ representative.  Multi-output support is therefore first-class here.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.ml.base import BaseEstimator, check_is_fitted
-from repro.ml.tree.builder import GrowthParams, grow_best_first, grow_depth_first
+from repro.ml.base import check_is_fitted
+from repro.ml.tree.builder import _CARTEstimator
 from repro.ml.tree.criteria import MSECriterion
-from repro.utils.rng import rng_from
 from repro.utils.validation import check_array
 
 __all__ = ["DecisionTreeRegressor"]
 
 
-class DecisionTreeRegressor(BaseEstimator):
+class DecisionTreeRegressor(_CARTEstimator):
     """CART regressor minimising summed per-output squared error."""
 
-    def __init__(
-        self,
-        *,
-        max_depth: Optional[int] = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_leaf_nodes: Optional[int] = None,
-        max_features: Optional[int] = None,
-        random_state=None,
-    ):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_leaf_nodes = max_leaf_nodes
-        self.max_features = max_features
-        self.random_state = random_state
+    _criterion = MSECriterion
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X = check_array(X, name="X")
@@ -51,34 +33,12 @@ class DecisionTreeRegressor(BaseEstimator):
             self._single_output = False
         else:
             raise ValueError(f"y must be 1-D or 2-D, got shape {y.shape}")
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-
-        params = GrowthParams(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_leaf_nodes=self.max_leaf_nodes,
-            max_features=self.max_features,
-        )
-        rng = rng_from(self.random_state) if self.random_state is not None else None
-        criterion = MSECriterion()
-        if self.max_leaf_nodes is not None:
-            self.tree_ = grow_best_first(X, y, criterion, params, rng)
-        else:
-            self.tree_ = grow_depth_first(X, y, criterion, params, rng)
-        self.n_features_in_ = X.shape[1]
+        self._grow(X, y)
         self.n_outputs_ = y.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "tree_")
-        X = check_array(X, name="X")
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; fit used {self.n_features_in_}"
-            )
-        out = self.tree_.predict_value(X)
+        out = self._predict_value(X)
         return out[:, 0] if self._single_output else out
 
     def leaf_representatives(self) -> np.ndarray:
@@ -90,8 +50,3 @@ class DecisionTreeRegressor(BaseEstimator):
         from repro.ml.metrics import r2_score
 
         return r2_score(np.asarray(y, dtype=np.float64), self.predict(X))
-
-    @property
-    def n_leaves_(self) -> int:
-        check_is_fitted(self, "tree_")
-        return self.tree_.n_leaves

@@ -592,22 +592,20 @@ class FleetRouter:
                 raise RuntimeError("no devices routed; call add_device first")
             ids = list(self._devices)
             if device_id is not None:
-                target = self._entry(device_id)
+                self._entry(device_id)  # KeyError for an unknown device
                 self._c_targeted.tick()
-                if not target.service.breaker_open:
-                    order = [device_id]
-                    order += [d for d in ids if d != device_id]
-                    return tuple(order), device_id
-                # Breaker open: fall over to the policy order, keeping
-                # the dead device as the candidate of last resort.
-                chosen_policy = policy or self._default_policy
             else:
                 self._tick_agnostic()
-                chosen_policy = policy or self._default_policy
-            self._check_policy(chosen_policy)
-            self._c_placements[chosen_policy].tick()
             healthy = [d for d in ids if not self._devices[d].service.breaker_open]
             open_ids = [d for d in ids if d not in healthy]
+            if device_id in healthy:
+                order = [device_id] + [d for d in healthy if d != device_id]
+                return tuple(order + open_ids), device_id
+            # Breaker open or no target: the policy order, keeping a dead
+            # target as the candidate of last resort.
+            chosen_policy = policy or self._default_policy
+            self._check_policy(chosen_policy)
+            self._c_placements[chosen_policy].tick()
             pool = healthy if healthy else ids
 
             if chosen_policy == "round-robin":

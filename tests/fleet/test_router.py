@@ -290,6 +290,39 @@ class TestDegradation:
         # One failed device per shape — the open breaker was never tried.
         assert router.stats().rerouted == len(shapes)
 
+    def test_targeted_single_and_batch_reroute_to_the_same_device(
+        self, fleet_run, all_shapes
+    ):
+        # The target raises with no fallback; the next device in
+        # insertion order has an open breaker and a fallback.  A single
+        # lookup must skip the open breaker's degraded answer just as a
+        # batch does, and land on the first healthy device.
+        target, tripped, healthy = SMALL_FLEET[:3]
+        plan = FaultPlan().kill_device(target).kill_device(tripped)
+        router = FleetRouter()
+        for did in SMALL_FLEET:
+            deployed = fleet_run.value("train", did)
+            faulty = did in (target, tripped)
+            policy = FaultyPolicy(deployed, plan, device_id=did)
+            fallback = deployed.library.configs[0] if did == tripped else None
+            router.add_device(
+                did,
+                SelectionService(
+                    policy if faulty else deployed,
+                    breaker_threshold=2,
+                    fallback=fallback,
+                ),
+            )
+        for shape in all_shapes[:2]:
+            router.select(shape, device_id=tripped)
+        assert router.service(tripped).breaker_open
+        shape = all_shapes[2]
+        single = router.select(shape, device_id=target)
+        (batch,) = router.select_batch([shape], device_id=target)
+        assert single.device_id == batch.device_id == healthy
+        assert single.rerouted and batch.rerouted
+        assert single.config == batch.config
+
     def test_agnostic_traffic_avoids_the_open_breaker(
         self, fleet_run, all_shapes
     ):

@@ -10,13 +10,19 @@ split thresholds, negative and astronomically large dims, and NaNs
 import numpy as np
 import pytest
 
-from repro.ml.tree import DecisionTreeClassifier, export_python
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    export_cpp,
+    export_python,
+    export_text,
+)
 from repro.ml.tree.codegen import (
     MAX_SOURCE_DEPTH,
     CompiledTree,
     compile_tree,
     tree_apply_source,
 )
+from repro.ml.tree.structure import LEAF, Tree
 from repro.testing import reference_leaves
 
 #: Both nested-``if`` emitters share one walker and its checks.
@@ -110,12 +116,18 @@ class TestSourceEmission:
         )
         assert source.startswith("def tree_apply(m, k, n, batch):")
 
-    @EMITTERS
+    @pytest.mark.parametrize(
+        "emit",
+        [tree_apply_source, export_python, export_cpp],
+        ids=lambda f: f.__name__,
+    )
     def test_invalid_identifiers_rejected(self, emit):
         rng = np.random.default_rng(7)
         tree = _fit_tree(rng, n_features=2)
         with pytest.raises(ValueError, match="identifier"):
             emit(tree, feature_names=["m", "not valid"])
+        with pytest.raises(ValueError, match="identifier"):
+            emit(tree, feature_names=["if", "k"])
         with pytest.raises(ValueError, match="identifier"):
             emit(tree, function_name="bad name")
 
@@ -128,14 +140,101 @@ class TestSourceEmission:
             compile_tree(tree, feature_names=("a",))
 
 
+class TestPinnedFormats:
+    """The exact text of every emitter on a hand-built one-split tree:
+    threshold precision, the ``>  `` spacing, ``(n=…)`` and the brace
+    layout."""
+
+    TREE = Tree(
+        feature=np.array([1, LEAF, LEAF]),
+        threshold=np.array([1234.5678, 0.0, 0.0]),
+        left=np.array([1, LEAF, LEAF]),
+        right=np.array([2, LEAF, LEAF]),
+        value=np.array([[3.0, 3.0], [3.0, 1.0], [0.0, 2.0]]),
+        impurity=np.zeros(3),
+        n_samples=np.array([6, 4, 2]),
+    )
+
+    def test_export_text(self):
+        assert export_text(self.TREE) == (
+            "|--- x[1] <= 1234.57\n"
+            "|   |--- value: 0 (n=4)\n"
+            "|--- x[1] >  1234.57\n"
+            "|   |--- value: 1 (n=2)"
+        )
+        named = export_text(
+            self.TREE, feature_names=["m", "k"], class_names=["A", "B"],
+            precision=3,
+        )
+        assert named == (
+            "|--- k <= 1234.568\n"
+            "|   |--- value: A (n=4)\n"
+            "|--- k >  1234.568\n"
+            "|   |--- value: B (n=2)"
+        )
+
+    def test_export_python(self):
+        assert export_python(self.TREE) == (
+            "def select(x0, x1):\n"
+            "    if x1 <= 1234.5678:\n"
+            "        return '0'\n"
+            "    else:\n"
+            "        return '1'\n"
+        )
+        named = export_python(
+            self.TREE, feature_names=["m", "k"], class_names=["A", "B"]
+        )
+        assert named == (
+            "def select(m, k):\n"
+            "    if k <= 1234.5678:\n"
+            "        return 'A'\n"
+            "    else:\n"
+            "        return 'B'\n"
+        )
+
+    def test_export_cpp(self):
+        assert export_cpp(self.TREE) == (
+            "int select_kernel(double x0, double x1) {\n"
+            "  if (x1 <= 1234.5678) {\n"
+            "    return 0;\n"
+            "  } else {\n"
+            "    return 1;\n"
+            "  }\n"
+            "}\n"
+        )
+        named = export_cpp(
+            self.TREE,
+            function_name="pick",
+            feature_names=["m", "k"],
+            class_names=["KA", "KB"],
+            return_type="Kernel",
+        )
+        assert named == (
+            "Kernel pick(double m, double k) {\n"
+            "  if (k <= 1234.5678) {\n"
+            "    return KA;\n"
+            "  } else {\n"
+            "    return KB;\n"
+            "  }\n"
+            "}\n"
+        )
+
+    def test_tree_apply_source(self):
+        assert tree_apply_source(self.TREE, feature_names=["m", "k"]) == (
+            "def tree_apply(m, k):\n"
+            "    if k <= 1234.5678:\n"
+            "        return 1\n"
+            "    else:\n"
+            "        return 2\n"
+        )
+
+
 class TestDepthLimit:
     def _deep_tree(self):
         # A synthetic right-leaning chain deeper than CPython's nesting
         # limit: internal node i splits x0 <= i (left: leaf, right:
         # next internal node).  Fitting rarely produces such chains —
         # building the flat arrays directly pins the guard exactly.
-        from repro.ml.tree.structure import LEAF, Tree
-
         depth = MAX_SOURCE_DEPTH + 10
         n_nodes = 2 * depth + 1
         feature = np.full(n_nodes, LEAF, dtype=np.int64)
