@@ -46,6 +46,11 @@ class DynamicTrialSelector:
     benchmark (instead of the runner's configured protocol), trading
     choice confidence for cheaper first encounters; the per-sweep
     ``trial_seconds`` accounting reflects the reduced run count.
+
+    Not thread-safe: the trial cache and the counters are plain
+    attributes.  Behind a :class:`~repro.serving.SelectionService` it
+    needs no lock of its own, since the service never calls a memoised
+    policy from two threads at a time.
     """
 
     def __init__(

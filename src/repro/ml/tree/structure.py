@@ -54,9 +54,6 @@ class Tree:
                 depth[self.right[node]] = depth[node] + 1
         return int(depth.max()) if self.node_count else 0
 
-    def is_leaf(self, node: int) -> bool:
-        return self.feature[node] == LEAF
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index reached by each sample.
 

@@ -18,7 +18,7 @@ adaptive GEMM selection (PAPERS.md, arXiv:2408.11417):
   at admission) to the wrapped
   :class:`~repro.serving.service.SelectionService`, which serves
   ``base`` as a counted direct lookup of a compiled tree, or reads
-  its memo snapshot.  All bandit mutation happens on the feedback path.
+  its memo.  All bandit mutation happens on the feedback path.
 * **Feedback** — callers report observed latencies via :meth:`record`;
   the per-shape :class:`~repro.adaptive.bandit.ShapeBandit` updates its
   decayed estimators, arms trials, and promotes/demotes configs.

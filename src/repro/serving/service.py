@@ -6,19 +6,16 @@ trained :class:`~repro.core.selection.selector.Selector`, a
 :class:`~repro.core.selection.dynamic.DynamicTrialSelector` — with the
 machinery a production dispatch path needs:
 
-* a thread-safe LRU memo cache keyed on ``shape.as_tuple()``, fronted
-  by a read-mostly snapshot dict so a *warm* hit costs one lock-free
-  dict lookup rather than a model evaluation or even a lock acquisition
-  (the paper's "negligible overhead" requirement at traffic scale);
-  a ``memoise = False`` policy (the compiled tree) is called directly
-  on single lookups;
-* misses resolved *outside* the service lock: concurrent misses for the
-  same shape coordinate through an in-flight table so the policy runs
-  at most once per unique shape, and one slow policy call never
-  serializes unrelated hits.  Each in-flight entry is a latch, a plain
-  :class:`threading.Lock` its owner holds until the answer is cached
-  (or degraded); waiters block by acquiring and at once releasing it,
-  so an uncontended miss allocates one lock and nothing else;
+* a thread-safe LRU memo keyed on ``shape.as_tuple()``: one
+  :class:`~collections.OrderedDict` that warm hits read without the
+  service lock, so a *warm* hit costs one dict lookup rather than a
+  model evaluation or even a lock acquisition (the paper's "negligible
+  overhead" requirement at traffic scale); a ``memoise = False`` policy
+  (the compiled tree) is called directly on single lookups;
+* one service lock under which every miss and every circuit-breaker
+  probe is resolved, so a memoised policy runs at most once per unique
+  shape and never runs concurrently with itself: it need not be
+  thread-safe;
 * batch and single-query APIs, routing misses through the policy's
   vectorized ``select_batch`` when it has one;
 * observability through :mod:`repro.obs`: hit/miss/fallback/breaker
@@ -37,7 +34,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from threading import Lock
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.kernels.params import KernelConfig
 from repro.obs.metrics import Counter, Gauge, Histogram
@@ -57,25 +54,26 @@ class SelectionService:
     vectorized ``select_batch(shapes)`` is used for batch misses when
     present.  ``capacity`` bounds the LRU memo.
 
-    Lock discipline: the service lock guards the LRU, the in-flight
-    table and breaker state.  Direct single lookups take it only to
-    count an error or end an error streak.  Warm single hits, and
-    batches whose every key is warm, read a plain snapshot dict
-    without the lock (CPython dict reads are atomic; the single writer
-    mutates it under the lock), so they do not refresh LRU recency —
+    Lock discipline: one service lock guards the memo's writes and the
+    breaker state.  Warm single hits, and batches whose every key is
+    warm, read the memo without it (an ``OrderedDict`` read is dict's
+    own C lookup, atomic under the GIL; every write happens under the
+    lock, and :meth:`clear` swaps in a fresh memo rather than emptying
+    the one a reader may hold), so they do not refresh LRU recency —
     eviction order is approximate-LRU under the lock-free fast path.
-    Policy evaluation always happens *outside* the lock with a
-    double-checked insert, except the circuit breaker's half-open
-    probes, which stay serialized to keep the probe schedule exact.
-    Each in-flight key maps to a latch: a :class:`threading.Lock` the
-    owning thread acquires when it registers the key and releases
-    exactly once, after it has dropped the registration, on every
-    exit (answer, degraded answer, exception).  Waiters pass through
-    it (``with latch: pass``) and then re-check the cache.  The miss
-    path bumps its counters with lock-free :meth:`Counter.tick
-    <repro.obs.Counter.tick>` while it holds the service lock anyway,
-    so :meth:`clear`, which resets them under the same lock, never
-    splits a count.
+    Every miss takes the lock, re-checks the memo and, still missing,
+    calls the policy under it, as do the breaker's half-open probes;
+    concurrent misses for one shape therefore consult the policy once,
+    and the policy is never called from two threads at a time, so it
+    need not be thread-safe.  The price is that misses for different
+    shapes, and :meth:`stats`, :meth:`clear` and
+    :meth:`reset_breaker`, wait behind a policy call in progress.
+    Direct single lookups take the lock only to count an error or end
+    an error streak, so a ``memoise = False`` policy's ``select`` must
+    be thread-safe itself.  The miss path bumps its counters with
+    lock-free :meth:`Counter.tick <repro.obs.Counter.tick>` while it
+    holds the service lock anyway, so :meth:`clear`, which resets them
+    under the same lock, never splits a count.
 
     ``registry`` is the :class:`~repro.obs.MetricsRegistry` the service
     writes its metrics into (a private one when omitted; pass
@@ -129,13 +127,8 @@ class SelectionService:
         self._fallback = fallback
         self._breaker_threshold = breaker_threshold
         self._probe_interval = breaker_probe_interval
+        # Written only under the lock, read lock-free; replaced on clear().
         self._cache: "OrderedDict[_Key, KernelConfig]" = OrderedDict()
-        # Read-mostly mirror of the LRU's contents for the lock-free
-        # fast path; mutated only under the lock, replaced on clear().
-        self._snapshot: Dict[_Key, KernelConfig] = {}
-        # Misses being resolved right now: key -> latch the resolving
-        # thread holds until the answer is cached (or degraded).
-        self._inflight: Dict[_Key, Lock] = {}
         self._lock = Lock()
         self._registry = registry if registry is not None else MetricsRegistry()
         self._name = name
@@ -255,11 +248,13 @@ class SelectionService:
         A ``memoise = False`` policy is called directly while the
         breaker is closed, or, given ``known`` (an undegraded answer the
         adaptive wrapper holds), serves that, counted and timed the
-        same.  Otherwise warm hits are answered from the snapshot dict
-        without the service lock; misses coordinate through the
-        in-flight table (:meth:`_resolve_one`) so each unique shape
-        consults the policy exactly once even under contention.
-        ``key`` is ``shape.as_tuple()``, passed by a caller that built it.
+        same.  Otherwise warm hits are answered from the memo without the
+        service lock.  A miss takes the lock, re-checks the memo (another
+        thread may have resolved the shape meanwhile) and otherwise
+        resolves it under the lock, with breaker and fallback semantics,
+        so each unique shape consults the policy exactly once even under
+        contention.  ``key`` is ``shape.as_tuple()``, passed by a caller
+        that built it.
         """
         start = time.perf_counter()
         if self._direct and not self._breaker_open:
@@ -282,9 +277,19 @@ class SelectionService:
         else:
             if key is None:
                 key = shape.as_tuple()
-            config = self._snapshot.get(key)
+            config = self._cache.get(key)
             if config is None:
-                config = self._resolve_one(shape, key)
+                with self._lock:
+                    self._c_single.tick()
+                    self._c_lookups.tick()
+                    # The thread that held the lock may have just
+                    # resolved this key.
+                    config = self._cache.get(key)
+                    if config is None:
+                        config = self._resolve_miss(shape, key)
+                    else:
+                        self._c_hits.tick()
+                        self._cache.move_to_end(key)
             else:
                 # Lock-free fast path.  The hit is counted before its
                 # lookup so a concurrent clear() can only ever leave
@@ -301,16 +306,14 @@ class SelectionService:
         """Configurations for many shapes in one call.
 
         A non-empty batch whose every key is memoised is answered from
-        the snapshot dict without the service lock, and, like a single
-        warm hit, does not refresh LRU recency.  Otherwise the batch
-        takes the lock: cache misses are deduplicated and resolved
-        through the policy's ``select_batch`` (one classifier pass) when
-        available, falling back to per-shape ``select``; hits and
-        repeats never re-evaluate.
-        The policy runs outside the service lock; misses another thread
-        is already resolving are awaited rather than recomputed.  The
-        per-lookup latency histogram is weighted by the query count, so
-        a 10k-query batch carries 10k observations, not one.
+        the memo without the service lock, and, like a single warm hit,
+        does not refresh LRU recency.  Otherwise the batch takes the
+        lock and resolves under it: cache misses are deduplicated and
+        resolved through the policy's ``select_batch`` (one classifier
+        pass) when available, falling back to per-shape ``select``; hits
+        and repeats never re-evaluate.  The per-lookup latency histogram
+        is weighted by the query count, so a 10k-query batch carries 10k
+        observations, not one.
         """
         start = time.perf_counter()
         shapes = tuple(shapes)
@@ -318,7 +321,7 @@ class SelectionService:
         n = len(keys)
         if n:
             try:
-                out = tuple(map(self._snapshot.__getitem__, keys))
+                out = tuple(map(self._cache.__getitem__, keys))
             except KeyError:
                 pass
             else:
@@ -334,54 +337,37 @@ class SelectionService:
                 self._h_call.observe(duration)
                 self._h_lookup.observe_n(duration / n, n)
                 return out
-        owned: List[Tuple[GemmShape, _Key, Lock]] = []
-        waiting: List[Tuple[GemmShape, _Key, Lock]] = []
         with self._lock:
             self._c_batch.inc()
-            self._c_lookups.inc(len(shapes))
-            self._c_batch_queries.inc(len(shapes))
-            self._g_max_batch.set_max(len(shapes))
-            if not shapes:
+            self._c_lookups.inc(n)
+            self._c_batch_queries.inc(n)
+            self._g_max_batch.set_max(n)
+            if not n:
                 self._h_call.observe(time.perf_counter() - start)
                 return ()
 
+            cache = self._cache
             resolved: Dict[_Key, KernelConfig] = {}
-            seen: Set[_Key] = set()
-            hits = 0
+            misses: Dict[_Key, GemmShape] = {}
             for shape, key in zip(shapes, keys):
-                if key in seen:
+                if key in resolved or key in misses:
                     continue
-                seen.add(key)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    hits += 1
-                    self._cache.move_to_end(key)
-                    resolved[key] = cached
-                elif self._breaker_open:
-                    # Degraded regime: serve under the lock so only the
-                    # breaker's own probe schedule touches the policy.
-                    resolved[key] = self._resolve_miss(shape)
+                cached = cache.get(key)
+                if cached is None:
+                    misses[key] = shape
                 else:
-                    latch = self._inflight.get(key)
-                    if latch is None:
-                        latch = self._register(key)
-                        owned.append((shape, key, latch))
-                    else:
-                        waiting.append((shape, key, latch))
+                    cache.move_to_end(key)
+                    resolved[key] = cached
             # Repeats of a key within the batch count as hits: only the
             # first occurrence of a missing shape pays the policy.
-            hits += len(shapes) - len(seen)
-            self._c_hits.inc(hits)
-
-        if owned:
-            resolved.update(self._resolve_owned_batch(owned))
-        for shape, key, latch in waiting:
-            resolved[key] = self._resolve_one(shape, key, latch, count_call=False)
+            self._c_hits.inc(n - len(misses))
+            if misses:
+                resolved.update(self._resolve_misses(misses))
 
         out = tuple(map(resolved.__getitem__, keys))
         duration = time.perf_counter() - start
         self._h_call.observe(duration)
-        self._h_lookup.observe_n(duration / len(shapes), len(shapes))
+        self._h_lookup.observe_n(duration / n, n)
         return out
 
     # -- observability -------------------------------------------------------
@@ -428,11 +414,9 @@ class SelectionService:
         sharing the registry are untouched.
         """
         with self._lock:
-            self._cache.clear()
             # Swap, don't mutate: lock-free readers keep a coherent
-            # (possibly stale) view of the old dict.  In-flight misses
-            # stay registered; their owners will release them.
-            self._snapshot = {}
+            # (possibly stale) view of the old memo.
+            self._cache = OrderedDict()
             owned: Tuple[Union[Counter, Gauge, Histogram], ...] = (
                 self._c_lookups,
                 self._c_hits,
@@ -467,166 +451,37 @@ class SelectionService:
 
     # -- internals -----------------------------------------------------------
 
-    def _resolve_one(
-        self,
-        shape: GemmShape,
-        key: _Key,
-        latch: Optional[Lock] = None,
-        *,
-        count_call: bool = True,
-    ) -> KernelConfig:
-        """Answer a miss for one key, coordinating concurrent resolvers.
-
-        At most one thread per key consults the policy: the first to
-        register the key in the in-flight table resolves it outside the
-        lock while later arrivals pass through its latch and re-check
-        the cache (a degraded answer is not memoised, so the next waiter
-        becomes the new resolver).  ``latch`` is a known in-flight
-        latch to wait on before the first check; ``count_call`` is
-        False when a surrounding batch call already counted this
-        query's lookup.
-        """
-        while True:
-            if latch is not None:
-                with latch:
-                    pass
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    # Hit and lookup are counted in one critical section
-                    # so a concurrent clear() cannot split them.
-                    self._c_hits.tick()
-                    if count_call:
-                        self._c_single.tick()
-                        self._c_lookups.tick()
-                    self._cache.move_to_end(key)
-                    return cached
-                if self._breaker_open:
-                    if count_call:
-                        self._c_single.tick()
-                        self._c_lookups.tick()
-                    return self._resolve_miss(shape)
-                latch = self._inflight.get(key)
-                if latch is None:
-                    latch = self._register(key)
-                    break
-        return self._resolve_owned(shape, key, latch, count_call=count_call)
-
-    def _resolve_owned(
-        self,
-        shape: GemmShape,
-        key: _Key,
-        latch: Lock,
-        *,
-        count_call: bool = True,
-    ) -> KernelConfig:
-        """Consult the policy for a key this thread owns in-flight.
-
-        The policy call runs outside the lock; result accounting and
-        the double-checked cache insert happen under it.  The latch is
-        released exactly once — whatever the policy raises — so waiters
-        can never deadlock.
-        """
-        done = False
-        try:
-            config = self._policy.select(shape)
-            done = True
-        except Exception as exc:
-            with self._lock:
-                if count_call:
-                    self._c_single.tick()
-                    self._c_lookups.tick()
-                self._note_policy_error()
-                return self._serve_degraded(exc)
-        finally:
-            with self._lock:
-                if self._inflight.get(key) is latch:
-                    del self._inflight[key]
-                if done:
-                    if count_call:
-                        self._c_single.tick()
-                        self._c_lookups.tick()
-                    self._note_policy_success(key, config)
-            latch.release()
-        return config
-
-    def _resolve_owned_batch(
-        self, owned: List[Tuple[GemmShape, _Key, Lock]]
+    def _resolve_misses(
+        self, misses: Dict[_Key, GemmShape]
     ) -> Dict[_Key, KernelConfig]:
-        """Resolve the batch misses this thread registered in-flight.
+        """Answer a batch's distinct misses; the caller holds the lock.
 
         The policy's vectorized ``select_batch`` is preferred (one
-        classifier pass outside the lock); on error the per-shape path
-        applies fallback/breaker logic per query.  A policy returning
-        the wrong number of configurations is a contract violation and
-        raises rather than silently mis-zipping answers onto shapes.
+        classifier pass) while the breaker is closed; without it, after
+        it raises, or with the breaker open, each shape goes through
+        :meth:`_resolve_miss`.  A policy returning the wrong number of
+        configurations is a contract violation and raises rather than
+        silently mis-zipping answers onto shapes.
         """
-        miss_shapes = [shape for shape, _, _ in owned]
         batch_fn = getattr(self._policy, "select_batch", None)
-        if batch_fn is not None:
+        if batch_fn is not None and not self._breaker_open:
             try:
-                configs = tuple(batch_fn(miss_shapes))
+                configs = tuple(batch_fn(list(misses.values())))
             except Exception:
-                with self._lock:
-                    self._note_policy_error()
-            except BaseException:
-                self._release(owned)
-                raise
+                self._note_policy_error()
             else:
-                if len(configs) != len(miss_shapes):
-                    self._release(owned)
+                if len(configs) != len(misses):
                     raise ValueError(
                         f"policy {type(self._policy).__name__}.select_batch "
                         f"returned {len(configs)} configs for "
-                        f"{len(miss_shapes)} miss shapes"
+                        f"{len(misses)} miss shapes"
                     )
-                with self._lock:
-                    for (shape, key, latch), config in zip(owned, configs):
-                        if self._inflight.get(key) is latch:
-                            del self._inflight[key]
-                        self._note_policy_success(key, config)
-                        latch.release()
-                return {
-                    key: config
-                    for (_, key, _), config in zip(owned, configs)
-                }
-        resolved: Dict[_Key, KernelConfig] = {}
-        for index, (shape, key, latch) in enumerate(owned):
-            try:
-                resolved[key] = self._resolve_owned(
-                    shape, key, latch, count_call=False
-                )
-            except BaseException:
-                self._release(owned[index + 1 :])
-                raise
-        return resolved
+                for key, config in zip(misses, configs):
+                    self._note_policy_success(key, config)
+                return dict(zip(misses, configs))
+        return {key: self._resolve_miss(shape, key) for key, shape in misses.items()}
 
-    def _register(self, key: _Key) -> Lock:
-        """Register ``key`` in-flight, owned by this thread.
-
-        Caller holds the service lock.  The returned latch is held; its
-        owner releases it exactly once.
-        """
-        latch = Lock()
-        latch.acquire()
-        self._inflight[key] = latch
-        return latch
-
-    def _release(self, entries: List[Tuple[GemmShape, _Key, Lock]]) -> None:
-        """Drop in-flight registrations owned by this thread and wake waiters.
-
-        Identity-checked so a stale entry can never pop a registration
-        some other thread has since taken over.
-        """
-        if not entries:
-            return
-        with self._lock:
-            for _, key, latch in entries:
-                if self._inflight.get(key) is latch:
-                    del self._inflight[key]
-                latch.release()
-
-    def _resolve_miss(self, shape: GemmShape) -> KernelConfig:
+    def _resolve_miss(self, shape: GemmShape, key: _Key) -> KernelConfig:
         """Answer one cache miss, applying breaker/fallback semantics.
 
         Caller holds the lock.  Degraded answers are *not* memoised: once
@@ -642,7 +497,7 @@ class SelectionService:
         except Exception as exc:
             self._note_policy_error()
             return self._serve_degraded(exc)
-        self._note_policy_success(shape.as_tuple(), config)
+        self._note_policy_success(key, config)
         return config
 
     def _note_policy_success(self, key: Optional[_Key], config: KernelConfig) -> None:
@@ -690,18 +545,16 @@ class SelectionService:
         return config
 
     def _insert(self, key: _Key, config: KernelConfig) -> None:
-        """Memoise ``key`` as most recent; the caller holds the lock."""
+        """Memoise ``key`` as most recent.
+
+        The caller holds the lock and has just seen ``key`` missing, so
+        the key lands at the end of the LRU.
+        """
         cache = self._cache
-        # A fresh key lands at the end already; only a key a breaker
-        # probe inserted meanwhile needs moving.
-        if key in cache:
-            cache.move_to_end(key)
         cache[key] = config
-        self._snapshot[key] = config
         # One insert adds at most one key, so at most one falls out.
         if len(cache) > self._capacity:
-            old_key, _ = cache.popitem(last=False)
-            self._snapshot.pop(old_key, None)
+            cache.popitem(last=False)
             self._c_evictions.tick()
 
     def __repr__(self) -> str:

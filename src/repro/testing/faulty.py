@@ -145,16 +145,12 @@ class FaultyModel:
     def __getattr__(self, name):
         # Everything else (time_seconds, breakdown, params, ...) passes
         # through to the wrapped model untouched.  Underscored lookups
-        # are refused so pickling never recurses through delegation.
+        # are refused: dunder probes (copy, pickle) see this wrapper's
+        # own defaults, and a lookup of ``_model`` before ``__init__``
+        # has set it raises instead of recursing.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._model, name)
-
-    def __getstate__(self):
-        return self.__dict__
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     def __repr__(self) -> str:
         return f"FaultyModel({self._model!r}, {self._plan!r})"

@@ -1,4 +1,4 @@
-"""The lock-free hot path: snapshot hits, outside-lock policy calls.
+"""The lock-free hot path: warm memo hits, misses under the lock.
 
 These tests pin the serving-layer guarantees the load harness leans on:
 
@@ -6,14 +6,15 @@ These tests pin the serving-layer guarantees the load harness leans on:
   while another thread holds the lock or is stuck inside the policy;
 * neither does a batch whose every key is warm; it counts exactly like
   the locked path and, like a single warm hit, refreshes no recency;
-* concurrent misses for one shape consult the policy exactly once;
+* concurrent misses for one shape consult the policy exactly once, and
+  no two policy calls ever overlap, single or batch;
 * a policy whose ``select_batch`` returns the wrong number of configs
   raises a clear contract error instead of mis-zipping answers;
-* every in-flight latch is released on every owner exit, so parked
-  waiters always wake, and an uncontended miss builds no
-  ``threading.Event``;
+* threads waiting behind a miss always get through, whether the policy
+  call ahead of them answered or raised, and an uncontended miss
+  builds no ``threading.Event``;
 * batch lookup latency is weighted by query count (``observe_n``);
-* the snapshot dict mirrors LRU membership through inserts/evictions.
+* the memo keeps LRU membership through inserts, evictions and clear().
 """
 
 import threading
@@ -108,30 +109,28 @@ class _GatedShortBatchPolicy(_ShortBatchPolicy):
         return super().select_batch(shapes)
 
 
-class _WatchedInflight(dict):
-    """An in-flight table that counts lookups of one key.
+class _OverlapPolicy:
+    """Sleeps inside every call and records the peak concurrency."""
 
-    A waiter finds the owner's latch here just before it parks on it,
-    so the count tells a test when its waiters are about to park.
-    """
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
 
-    def __init__(self, key):
-        super().__init__()
-        self.key = key
-        self.gets = 0
-        self.cond = threading.Condition()
+    def _call(self, answers):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(0.01)
+        with self._lock:
+            self.active -= 1
+        return answers
 
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        if key == self.key and found is not None:
-            with self.cond:
-                self.gets += 1
-                self.cond.notify_all()
-        return found
+    def select(self, shape):
+        return self._call(ANSWER)
 
-    def wait_for_gets(self, n, timeout=5.0):
-        with self.cond:
-            return self.cond.wait_for(lambda: self.gets >= n, timeout=timeout)
+    def select_batch(self, shapes):
+        return self._call((ANSWER,) * len(shapes))
 
 
 def _no_event(*args, **kwargs):
@@ -208,12 +207,30 @@ class TestLockFreeHits:
         assert stats.lookups == 8
         assert stats.cache_hits == 7
 
-    def test_inflight_table_drains(self):
-        policy = _CountingPolicy()
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_policy_calls_never_overlap(self, batch):
+        policy = _OverlapPolicy()
         service = SelectionService(policy)
-        service.select_batch([shape(i) for i in range(6)])
-        service.select(shape(7))
-        assert service._inflight == {}
+
+        def worker(tid):
+            for i in range(5):
+                miss = shape(5 * tid + i)
+                if batch:
+                    assert service.select_batch([miss]) == (ANSWER,)
+                else:
+                    assert service.select(miss) == ANSWER
+
+        threads = [
+            threading.Thread(target=worker, args=(tid,), daemon=True)
+            for tid in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert policy.peak == 1
+        assert service.stats().lookups == 40
 
 
 class TestLockFreeBatch:
@@ -258,7 +275,6 @@ class TestLockFreeBatch:
         assert stats.lookups == 6
         # Warm 0 and 1 plus the repeat of 2; only its first copy missed.
         assert stats.cache_hits == 3
-        assert service._inflight == {}
 
     def test_empty_batch_counts_one_call_and_no_lookups(self):
         registry = MetricsRegistry()
@@ -281,16 +297,13 @@ class TestLockFreeBatch:
         # A batch with a miss takes the lock and refreshes its hits.
         service.select_batch([b, a])
         assert set(service._cache) == {b.as_tuple(), a.as_tuple()}
-        assert set(service._snapshot) == set(service._cache)
 
 
-class TestInflightLatch:
+class TestWaiters:
     def test_waiters_wake_when_owner_policy_raises(self):
         policy = _FailFirstPolicy()
         service = SelectionService(policy)
         target = shape(2)
-        inflight = _WatchedInflight(target.as_tuple())
-        service._inflight = inflight
         owner_error = []
         answers = []
 
@@ -313,9 +326,8 @@ class TestInflightLatch:
         for t in waiters:
             t.start()
         try:
-            # Each waiter fetched the owner's latch; give them a moment
-            # to park on it.
-            assert inflight.wait_for_gets(4)
+            # The owner holds the service lock inside the policy; give
+            # the waiters a moment to block on it.
             time.sleep(0.05)
         finally:
             policy.gate.set()
@@ -328,7 +340,6 @@ class TestInflightLatch:
         assert len(policy.callers) == 2
         assert policy.callers[0] == "owner"
         assert policy.callers[1].startswith("waiter-")
-        assert service._inflight == {}
         stats = service.stats()
         assert stats.lookups == 5
         assert stats.cache_hits == 3
@@ -338,8 +349,6 @@ class TestInflightLatch:
         policy = _GatedShortBatchPolicy()
         service = SelectionService(policy)
         target = shape(0)
-        inflight = _WatchedInflight(target.as_tuple())
-        service._inflight = inflight
         batch_error = []
         single = []
 
@@ -357,7 +366,8 @@ class TestInflightLatch:
         )
         single_thread.start()
         try:
-            assert inflight.wait_for_gets(1)
+            # The batch holds the service lock inside the policy; give
+            # the single lookup a moment to block on it.
             time.sleep(0.05)
         finally:
             policy.gate.set()
@@ -370,7 +380,6 @@ class TestInflightLatch:
         # The waiter resolved the key itself, through the scalar path.
         assert single == [ANSWER]
         assert policy.calls == 1
-        assert service._inflight == {}
         assert service._cache == {target.as_tuple(): ANSWER}
 
     @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
@@ -386,7 +395,6 @@ class TestInflightLatch:
         else:
             assert service.select(shape(0)) == ANSWER
         monkeypatch.undo()
-        assert service._inflight == {}
 
 
 class TestBatchContract:
@@ -401,9 +409,8 @@ class TestBatchContract:
         service = SelectionService(policy)
         with pytest.raises(ValueError):
             service.select_batch([shape(0), shape(1)])
-        # No stuck in-flight registrations: the same shapes resolve via
-        # the scalar path afterwards, from any thread.
-        assert service._inflight == {}
+        # Nothing stays held: the same shapes resolve via the scalar
+        # path afterwards, from any thread.
         done = []
         worker = threading.Thread(
             target=lambda: done.append(service.select(shape(0))), daemon=True
@@ -442,7 +449,6 @@ class TestSnapshotCoherence:
         service = SelectionService(_CountingPolicy(), capacity=3)
         for i in range(8):
             service.select(shape(i))
-            assert set(service._snapshot) == set(service._cache)
         assert len(service._cache) == 3
         assert service.stats().evictions == 5
 
@@ -451,8 +457,7 @@ class TestSnapshotCoherence:
         for i in range(4):
             service.select(shape(i))
         service.clear()
-        assert service._snapshot == {}
         assert service._cache == {}
-        # Fresh traffic repopulates both.
+        # Fresh traffic repopulates it.
         service.select(shape(0))
-        assert set(service._snapshot) == set(service._cache)
+        assert set(service._cache) == {shape(0).as_tuple()}

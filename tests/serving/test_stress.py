@@ -181,7 +181,6 @@ class TestConcurrentServing:
         assert policy.calls == stats.lookups - stats.cache_hits
         assert stats.evictions == policy.calls - stats.cache_size
         assert stats.cache_size == 8
-        assert service._inflight == {}
 
     def test_degradation_under_concurrent_failures(self):
         policy = _SometimesFailingPolicy()
@@ -229,7 +228,7 @@ class TestConcurrentServing:
 
     def test_warm_batches_race_clear_on_tiny_cache(self):
         # A hot pair fits the memo, so its batches are often all-warm
-        # and take the lock-free path while clear() swaps the snapshot;
+        # and take the lock-free path while clear() swaps the memo;
         # mixed batches and singles keep inserting and evicting.
         policy = _CountingPolicy()
         service = SelectionService(policy, capacity=4)
@@ -266,7 +265,6 @@ class TestConcurrentServing:
         assert wrong == []
         assert stats.cache_hits <= stats.lookups
         assert stats.cache_size <= 4
-        assert service._inflight == {}
 
     def test_direct_lookups_race_clear_and_breaker_flips(self):
         # A direct policy's singles skip the memo and its lock; a
