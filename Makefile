@@ -10,10 +10,10 @@ test:
 
 # Mirrors the CI deep job: integration/fault/oracle/adaptive/onboard
 # suites plus the transfer-aware perfmodel, transformer-workload and
-# kernel-family suites, then five runs of the serving concurrency
-# suites, then the cross-process pipeline, fleet and onboarding cache
-# round trips (budget change re-runs only the onboard-* branch), then
-# every example script.
+# kernel-family suites, then five runs of the serving and routing
+# concurrency suites, then the cross-process pipeline, fleet and
+# onboarding cache round trips (budget change re-runs only the
+# onboard-* branch), then every example script.
 deep:
 	PYTHONPATH=src python -m pytest \
 		tests/integration tests/testing tests/serving tests/pipeline \
@@ -23,6 +23,7 @@ deep:
 	for run in 1 2 3 4 5; do \
 		PYTHONPATH=src python -m pytest tests/serving/test_stress.py \
 			tests/serving/test_hot_path.py tests/serving/test_direct_lookup.py \
+			tests/fleet/test_lock_free_routing.py \
 			-q -p no:randomly || exit 1; \
 	done
 	PYTHONPATH=src python -m repro.cli pipeline run \

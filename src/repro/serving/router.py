@@ -20,15 +20,15 @@ ring, the tuple of the devices (rebuilt only by
 service reports through ``watch_breaker``), draws its turn from an
 :class:`itertools.count` and counts itself with lock-free
 :meth:`~repro.obs.Counter.tick` calls.  Every other lookup — targeted,
-another policy, any breaker open — is ordered by
-:meth:`FleetRouter._candidates` under the router lock; the router never
-holds that lock while calling into a service.
+another policy, any breaker open, and every batch — is planned by
+:meth:`FleetRouter._plan` in one pass under the router lock; the router
+never holds that lock while calling into a service.
 
-Batches (:meth:`FleetRouter.select_batch`) land where as many lookups
-would, planned in one pass under the lock that keeps only each shape's
-first choice; a device-agnostic round-robin batch reads the ring
-instead of scanning breakers.  Each device answers its share in one
-call and fallback orders are derived only on failure.  A share its
+Batches (:meth:`FleetRouter.select_batch`) therefore land where as many
+lookups would.  The plan keeps only each shape's first choice; a
+device-agnostic round-robin batch reads the ring instead of scanning
+breakers.  Each device answers its share in one call and a batch's
+fallback orders are derived only on failure.  A share its
 device answers first try maps each config, by identity, to a decision
 the device keeps interned, so repeated configs allocate nothing
 (``benchmarks/test_bench_fleet.py``: ~6-20x faster than per-query
@@ -187,9 +187,9 @@ class _DeviceEntry:
         return out
 
 
-#: How a batch's shapes fail over, read by :func:`_fallback_order`: the
+#: How a plan's shapes fail over, read by :func:`_fallback_order`: the
 #: pool each shape ranks, the argmin rows that ranked it (empty: a
-#: round-robin rotation from the batch's first turn), that turn, the
+#: round-robin rotation from the plan's first turn), that turn, the
 #: open-breaker devices after the pool, and a dead target to try last.
 _Fallback = Tuple[
     Sequence[_DeviceEntry],
@@ -201,8 +201,9 @@ _Fallback = Tuple[
 
 
 def _fallback_order(fallback: _Fallback, i: int) -> List[_DeviceEntry]:
-    """Shape ``i``'s candidate order by the rules of
-    :meth:`FleetRouter._candidates`; only a failing device asks."""
+    """Shape ``i``'s candidate order: the policy's ranking of the pool,
+    open breakers after it, a dead target last.  A single lookup asks
+    up front; a batch only when a device fails."""
     pool, rows, start, tail, last = fallback
     if rows:
         key = rows[i].__getitem__
@@ -385,19 +386,18 @@ class FleetRouter:
             except Exception as exc:
                 start = time.perf_counter()
                 self._c_rerouted.tick()
-                # Fail over in the order _candidates gives this turn.
-                order = _rotated([e.device_id for e in ring], turn)
-                return self._serve(shape, order, None, start, exc)
+                # Fail over in the rotation a planned lookup at this turn gets.
+                return self._serve(shape, _rotated(ring, turn), None, start, exc)
             entry.c_dispatched.tick()
             return _new_tuple(RoutedDecision, (entry.device_id, config, False))
         start = time.perf_counter()
-        candidates, targeted = self._candidates(shape, device_id, policy)
-        return self._serve(shape, candidates, targeted, start, None)
+        _, fallback = self._plan((shape,), device_id, policy)
+        return self._serve(shape, _fallback_order(fallback, 0), device_id, start, None)
 
     def _serve(
         self,
         shape: GemmShape,
-        candidates: Sequence[str],
+        candidates: Sequence[_DeviceEntry],
         targeted: Optional[str],
         start: float,
         failed: Optional[BaseException],
@@ -412,8 +412,8 @@ class FleetRouter:
         """
         last_exc = failed
         for position in range(0 if failed is None else 1, len(candidates)):
-            did = candidates[position]
-            entry = self._devices[did]
+            entry = candidates[position]
+            did = entry.device_id
             try:
                 config = entry.select(shape)
             except Exception as exc:
@@ -427,7 +427,7 @@ class FleetRouter:
                 # answered first try, but it is still a reroute.
                 self._c_rerouted.tick()
             if rerouted:
-                requested = targeted if targeted is not None else candidates[0]
+                requested = targeted or candidates[0].device_id
                 self._tracer.record(
                     "fleet.reroute",
                     time.perf_counter() - start,
@@ -457,7 +457,7 @@ class FleetRouter:
         share rerouted to each shape's next candidate.
         """
         shapes = tuple(shapes)
-        parts, fallback = self._plan_batch(shapes, device_id, policy)
+        parts, fallback = self._plan(shapes, device_id, policy)
         out: List[RoutedDecision] = [None] * len(shapes)  # type: ignore[list-item]
         for entry, picks in parts:
             self._answer(entry, picks, shapes, out, fallback, device_id)
@@ -575,54 +575,7 @@ class FleetRouter:
 
     # -- policy internals ----------------------------------------------------
 
-    def _candidates(
-        self,
-        shape: GemmShape,
-        device_id: Optional[str],
-        policy: Optional[str],
-    ) -> Tuple[Tuple[str, ...], Optional[str]]:
-        """Ordered devices to try for one lookup, plus the targeted id.
-
-        The first candidate is the dispatch choice; the rest are the
-        cross-device fallback order.  Open-breaker devices sort last so
-        they are only consulted when every healthy device has failed.
-        """
-        with self._lock:
-            if not self._devices:
-                raise RuntimeError("no devices routed; call add_device first")
-            ids = list(self._devices)
-            if device_id is not None:
-                self._entry(device_id)  # KeyError for an unknown device
-                self._c_targeted.tick()
-            else:
-                self._tick_agnostic()
-            healthy = [d for d in ids if not self._devices[d].service.breaker_open]
-            open_ids = [d for d in ids if d not in healthy]
-            if device_id in healthy:
-                order = [device_id] + [d for d in healthy if d != device_id]
-                return tuple(order + open_ids), device_id
-            # Breaker open or no target: the policy order, keeping a dead
-            # target as the candidate of last resort.
-            chosen_policy = policy or self._default_policy
-            self._check_policy(chosen_policy)
-            self._c_placements[chosen_policy].tick()
-            pool = healthy if healthy else ids
-
-            if chosen_policy == "round-robin":
-                ordered = _rotated(pool, self._next_turn())
-            elif chosen_policy == "least-outstanding":
-                ordered = sorted(pool, key=lambda d: self._devices[d].outstanding)
-            else:  # perf-aware
-                ordered = sorted(pool, key=lambda d: self._estimate_locked(d, shape))
-            if healthy:
-                ordered = ordered + open_ids
-            if device_id is not None:
-                # The dead target goes last; everything healthy first.
-                ordered = [d for d in ordered if d != device_id] + [device_id]
-                return tuple(ordered), device_id
-            return tuple(ordered), None
-
-    def _plan_batch(
+    def _plan(
         self,
         shapes: Tuple[GemmShape, ...],
         device_id: Optional[str],
@@ -633,10 +586,11 @@ class FleetRouter:
 
         Returns ``(parts, fallback)``: each chosen device with the
         positions it answers, and the rule :func:`_fallback_order` turns
-        into a shape's full candidate order, which only a failing device
-        asks for.  A device-agnostic round-robin batch while every
-        breaker is closed reads the lock-free path's ring instead of
-        scanning breakers.
+        into a shape's full candidate order: :meth:`select` plans its
+        one shape here and serves that order, while a batch asks for it
+        only when a device fails.  A device-agnostic round-robin batch
+        while every breaker is closed reads the lock-free path's ring
+        instead of scanning breakers.
         """
         chosen = policy or self._default_policy
         self._check_policy(chosen)
@@ -672,7 +626,7 @@ class FleetRouter:
                 k = len(pool)
                 start = self._next_turn()
                 self._restart_turns(start + n)
-                # All breakers open: skip the dead target, as _candidates does.
+                # All breakers open: skip the dead target, tried last.
                 skip = target if k > 1 else None
                 for j in range(min(k, n)):
                     head = pool[(start + j) % k]

@@ -1,14 +1,16 @@
-"""The ring paths of FleetRouter.select and FleetRouter.select_batch.
+"""The ring paths of FleetRouter and the plan every other lookup takes.
 
 While every breaker is closed, a device-agnostic round-robin lookup
-reads a cached ring of devices and counts itself with lock-free ticks
-instead of ordering candidates under the router lock, and a batch
-plans from that ring instead of scanning breakers.  These tests pin
-both to ``_candidates``: a router whose ring stays empty routes every
-lookup the slow way, and must agree with the ring router on every
-decision, counter and later placement, through breaker trips,
-recoveries, service exceptions, long batches and a device added
-mid-stream.  They also pin the batch path's interned decisions.
+reads a cached ring of devices and counts itself with lock-free ticks,
+and a batch plans from that ring instead of scanning breakers.  Every
+other lookup is planned by ``FleetRouter._plan``.  These tests pin
+both against a reference router whose ring stays empty and which
+orders each single lookup by the router's earlier per-lookup ordering,
+kept here as ``_ReferenceOrder._candidates``.  The two must agree on
+every decision, counter and later placement under all three policies,
+through breaker trips, recoveries, service exceptions, long batches
+and a device added mid-stream.  They also pin the batch path's
+interned decisions and the router's counts under threads.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import dataclasses
 import random
 import sys
 import threading
+import time
+from typing import Optional, Tuple
 
 from repro.kernels.params import config_space
 from repro.obs import MetricsRegistry
 from repro.serving import FleetRouter, RoutedDecision, SelectionService
-from repro.serving.router import _INTERN_CAP
+from repro.serving.router import _INTERN_CAP, _rotated
 from repro.workloads.gemm import GemmShape
 
 CONFIGS = tuple(config_space(tile_sizes=(1, 2), work_groups=((8, 8), (16, 16))))
@@ -50,12 +54,98 @@ class _Broken:
         raise RuntimeError("broken policy")
 
 
-class _CandidatesOnly(FleetRouter):
-    """Reference router: its ring never fills, so every lookup is
-    ordered by ``_candidates`` under the lock."""
+class _ReferenceOrder(FleetRouter):
+    """Reference router: its ring never fills, and every single lookup
+    is ordered by ``_candidates`` under the lock, then served by the
+    router's own ``_serve``.  Its batches take ``_plan``'s breaker scan."""
 
     def _refresh_ring(self):
         pass
+
+    def select(self, shape, *, device_id=None, policy=None):
+        start = time.perf_counter()
+        candidates, targeted = self._candidates(shape, device_id, policy)
+        entries = [self._devices[did] for did in candidates]
+        return self._serve(shape, entries, targeted, start, None)
+
+    def _candidates(
+        self,
+        shape: GemmShape,
+        device_id: Optional[str],
+        policy: Optional[str],
+    ) -> Tuple[Tuple[str, ...], Optional[str]]:
+        """Ordered devices to try for one lookup, plus the targeted id.
+
+        The first candidate is the dispatch choice; the rest are the
+        cross-device fallback order.  Open-breaker devices sort last so
+        they are only consulted when every healthy device has failed.
+        """
+        with self._lock:
+            if not self._devices:
+                raise RuntimeError("no devices routed; call add_device first")
+            ids = list(self._devices)
+            if device_id is not None:
+                self._entry(device_id)  # KeyError for an unknown device
+                self._c_targeted.tick()
+            else:
+                self._tick_agnostic()
+            healthy = [d for d in ids if not self._devices[d].service.breaker_open]
+            open_ids = [d for d in ids if d not in healthy]
+            if device_id in healthy:
+                order = [device_id] + [d for d in healthy if d != device_id]
+                return tuple(order + open_ids), device_id
+            # Breaker open or no target: the policy order, keeping a dead
+            # target as the candidate of last resort.
+            chosen_policy = policy or self._default_policy
+            self._check_policy(chosen_policy)
+            self._c_placements[chosen_policy].tick()
+            pool = healthy if healthy else ids
+
+            if chosen_policy == "round-robin":
+                ordered = _rotated(pool, self._next_turn())
+            elif chosen_policy == "least-outstanding":
+                ordered = sorted(pool, key=lambda d: self._devices[d].outstanding)
+            else:  # perf-aware
+                ordered = sorted(pool, key=lambda d: self._estimate_locked(d, shape))
+            if healthy:
+                ordered = ordered + open_ids
+            if device_id is not None:
+                # The dead target goes last; everything healthy first.
+                ordered = [d for d in ordered if d != device_id] + [device_id]
+                return tuple(ordered), device_id
+            return tuple(ordered), None
+
+
+class _ToyModel:
+    """A performance model whose fastest device depends on the shape."""
+
+    def __init__(self, m_weight, k_weight):
+        self.m_weight = m_weight
+        self.k_weight = k_weight
+
+    def time_seconds(self, shape, config):
+        return (
+            self.m_weight * shape.m + self.k_weight * shape.k
+        ) * 1e-6 + CONFIGS.index(config) * 1e-9
+
+
+#: Each device's toy model: the weights make every device the fastest
+#: for some of SHAPES.
+_MODELS = {
+    "a": _ToyModel(1.0, 4.0),
+    "b": _ToyModel(0.5, 8.0),
+    "c": _ToyModel(2.0, 1.0),
+    "d": _ToyModel(0.25, 12.0),
+    "p": _ToyModel(0.75, 5.0),
+}
+
+
+#: Policies the random walks draw; None is the default, round-robin.
+_POLICY_DRAWS = (None, None, "round-robin", "least-outstanding", "perf-aware")
+
+
+def _add(router, did, service):
+    router.add_device(did, service, model=_MODELS[did], library=CONFIGS)
 
 
 def _service(policy, *, fallback):
@@ -95,20 +185,20 @@ class TestMatchesCandidates:
         # its service raises and the router fails over.
         for did, fallback in (("a", True), ("b", True), ("c", False)):
             policies[did] = _Switchable()
-            router.add_device(did, _service(policies[did], fallback=fallback))
+            _add(router, did, _service(policies[did], fallback=fallback))
         policies["c"].down = True
         return router, policies
 
     def test_decisions_counters_and_placements_agree(self):
         fast, fast_policies = self._fleet(FleetRouter)
-        slow, slow_policies = self._fleet(_CandidatesOnly)
+        slow, slow_policies = self._fleet(_ReferenceOrder)
         rng = random.Random(16)
         lock_free = degraded = 0
         for step in range(600):
             if step == 300:
                 for router, policies in ((fast, fast_policies), (slow, slow_policies)):
                     policies["d"] = _Switchable()
-                    router.add_device("d", _service(policies["d"], fallback=True))
+                    _add(router, "d", _service(policies["d"], fallback=True))
             roll = rng.random()
             did = rng.choice(sorted(fast_policies))
             if roll < 0.02:
@@ -125,20 +215,19 @@ class TestMatchesCandidates:
                 lock_free += 1
             else:
                 degraded += 1
+            policy = rng.choice(_POLICY_DRAWS)
             if roll < 0.15:
                 shape = rng.choice(SHAPES)
-                got = fast.select(shape, device_id=did)
-                assert got == slow.select(shape, device_id=did)
+                got = fast.select(shape, device_id=did, policy=policy)
+                assert got == slow.select(shape, device_id=did, policy=policy)
                 decisions = (got,)
             elif roll < 0.25:
                 shapes = [rng.choice(SHAPES) for _ in range(rng.randint(1, 7))]
-                policy = rng.choice((None, "round-robin"))
                 got = fast.select_batch(shapes, policy=policy)
                 assert got == slow.select_batch(shapes, policy=policy)
                 decisions = got
             else:
                 shape = rng.choice(SHAPES)
-                policy = rng.choice((None, None, "round-robin"))
                 got = fast.select(shape, policy=policy)
                 assert got == slow.select(shape, policy=policy)
                 decisions = (got,)
@@ -161,9 +250,10 @@ class TestMatchesCandidates:
         # breaker, so its share of a batch fails over while the ring is
         # still full.
         fleets = []
-        for router_cls in (FleetRouter, _CandidatesOnly):
+        for router_cls in (FleetRouter, _ReferenceOrder):
             router, policies = self._fleet(router_cls)
-            router.add_device(
+            _add(
+                router,
                 "p",
                 SelectionService(
                     _Broken(),
@@ -177,7 +267,7 @@ class TestMatchesCandidates:
         (fast, fast_policies), (slow, slow_policies) = fleets
         rng = random.Random(20)
         ring_reroutes = 0
-        for step in range(300):
+        for step in range(600):
             roll = rng.random()
             did = rng.choice(sorted(fast_policies))
             if roll < 0.02:
@@ -189,25 +279,36 @@ class TestMatchesCandidates:
                 slow.reset_breaker(did)
                 continue
             shapes = [rng.choice(SHAPES) for _ in range(rng.randint(1, 70))]
+            policy = rng.choice(_POLICY_DRAWS)
+            kwargs = {"policy": policy}
             if roll < 0.2:
-                kwargs = {"device_id": rng.choice((did, "p"))}
-            else:
-                kwargs = {"policy": rng.choice((None, "round-robin"))}
+                kwargs["device_id"] = rng.choice((did, "p"))
             ring_full = bool(fast._ring)
             rerouted = fast.stats().rerouted
             got = fast.select_batch(shapes, **kwargs)
             assert got == slow.select_batch(shapes, **kwargs), step
-            if ring_full and "device_id" not in kwargs:
+            # Only round-robin agnostic batches take the ring.
+            if ring_full and roll >= 0.2 and policy in (None, "round-robin"):
                 ring_reroutes += fast.stats().rerouted > rerouted
+            # One lone lookup of the batch's first shape: "p" fails it
+            # over along the single-lookup order.
+            single = fast.select(shapes[0], **kwargs)
+            assert single == slow.select(shapes[0], **kwargs), step
+            got += (single,)
             for decision in got:
                 if rng.random() < 0.5:
                     fast.complete(decision.device_id)
                     slow.complete(decision.device_id)
             assert _counters(fast) == _counters(slow), step
         assert ring_reroutes > 100
-        for shape in SHAPES:
-            assert fast.select(shape) == slow.select(shape)
-        assert fast.select_batch(SHAPES) == slow.select_batch(SHAPES)
+        for policy in _POLICY_DRAWS:
+            for shape in SHAPES:
+                assert fast.select(shape, policy=policy) == slow.select(
+                    shape, policy=policy
+                )
+            assert fast.select_batch(SHAPES, policy=policy) == slow.select_batch(
+                SHAPES, policy=policy
+            )
         assert _counters(fast) == _counters(slow)
 
     def test_failing_share_lands_like_sequential_selects(self):

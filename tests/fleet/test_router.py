@@ -59,12 +59,34 @@ class TestDispatch:
         # An empty batch is validated like any other.
         with pytest.raises(KeyError, match="no device"):
             fleet_router.select_batch([], device_id="mystery-gpu")
+        # An empty router: a targeted lookup names the missing device,
+        # an agnostic one the empty fleet, single and batch alike.
+        empty = FleetRouter()
+        with pytest.raises(KeyError, match="no device"):
+            empty.select(all_shapes[0], device_id="mystery-gpu")
+        with pytest.raises(KeyError, match="no device"):
+            empty.select_batch([all_shapes[0]], device_id="mystery-gpu")
+        with pytest.raises(RuntimeError, match="no devices routed"):
+            empty.select(all_shapes[0])
+        with pytest.raises(RuntimeError, match="no devices routed"):
+            empty.select_batch([all_shapes[0]])
 
     def test_unknown_policy_raises(self, fleet_router, all_shapes):
         with pytest.raises(ValueError, match="unknown routing policy"):
             fleet_router.select(all_shapes[0], policy="fastest-first")
         with pytest.raises(ValueError, match="unknown routing policy"):
             fleet_router.select_batch([], policy="fastest-first")
+        # A lookup targeted at a healthy device needs no policy, but a
+        # bogus one is still rejected.
+        healthy = fleet_router.device_ids[0]
+        with pytest.raises(ValueError, match="unknown routing policy"):
+            fleet_router.select(
+                all_shapes[0], device_id=healthy, policy="fastest-first"
+            )
+        with pytest.raises(ValueError, match="unknown routing policy"):
+            fleet_router.select_batch(
+                [all_shapes[0]], device_id=healthy, policy="fastest-first"
+            )
 
     def test_round_robin_cycles_the_fleet(self, fleet_router, all_shapes):
         placed = [
@@ -322,6 +344,37 @@ class TestDegradation:
         assert single.device_id == batch.device_id == healthy
         assert single.rerouted and batch.rerouted
         assert single.config == batch.config
+
+    def test_perf_aware_with_every_breaker_open_skips_an_unmodelled_target(
+        self, fleet_run, all_shapes
+    ):
+        # Both devices are dead and serve their fallback.  The target
+        # has no performance model, so a perf-aware lookup must rank
+        # only the other device and keep the dead target for last,
+        # single and batch alike.
+        target, other = SMALL_FLEET[:2]
+        plan = FaultPlan().kill_device(target).kill_device(other)
+        router = FleetRouter()
+        for did in (target, other):
+            deployed = fleet_run.value("train", did)
+            model = get_profile(did).perf_model() if did == other else None
+            router.add_device(
+                did,
+                SelectionService(
+                    FaultyPolicy(deployed, plan, device_id=did),
+                    breaker_threshold=2,
+                    fallback=deployed.library.configs[0],
+                ),
+                model=model,
+            )
+            for shape in all_shapes[:2]:
+                router.service(did).select(shape)
+            assert router.service(did).breaker_open
+        shape = all_shapes[2]
+        single = router.select(shape, device_id=target, policy="perf-aware")
+        (batch,) = router.select_batch([shape], device_id=target, policy="perf-aware")
+        assert single == batch
+        assert single.device_id == other and single.rerouted
 
     def test_agnostic_traffic_avoids_the_open_breaker(
         self, fleet_run, all_shapes
