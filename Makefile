@@ -64,11 +64,12 @@ bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 # Mirrors the CI bench-smoke job: throughput, obs-overhead, compiled
-# hot-path, batched-routing, adaptive-layer and transfer-aware
-# placement gates, the performance ledger's self-tests, a 5 s loadgen
-# smoke with a qps floor, a drifted run with a gap-closure floor, the
-# onboarding quality/cost gate (95% quality at a 10% budget) and the
-# full-stride placement-flip experiment gate.
+# hot-path, batched-routing, complete-cost (<= 0.2x a routed select),
+# adaptive-layer and transfer-aware placement gates, the performance
+# ledger's self-tests, a 5 s loadgen smoke with a qps floor, a drifted
+# run with a gap-closure floor, the onboarding quality/cost gate (95%
+# quality at a 10% budget) and the full-stride placement-flip
+# experiment gate.
 bench-smoke:
 	PYTHONPATH=src python -m pytest \
 		benchmarks/test_bench_serving.py benchmarks/test_bench_obs.py \

@@ -16,8 +16,13 @@ device-agnostic) over a four-device fleet, served three ways:
 The batch path must beat per-query routing >= 1.5x with identical
 targeted answers; the independent-loops number is printed for
 reference, as per-query serving without any routing features.
+
+A serving loop also reports each finished request with
+``FleetRouter.complete``; on a warm synthetic fleet one such call must
+cost at most a fifth of the routed ``select`` it follows.
 """
 
+import statistics
 import time
 
 import pytest
@@ -25,11 +30,18 @@ import pytest
 from repro.bench.runner import RunnerConfig
 from repro.fleet import FleetPipelineConfig, router_from_store, run_fleet_pipeline
 from repro.kernels.params import config_space
+from repro.loadgen import synthetic_fleet
+from repro.loadgen.workload import network_shape_pool
 from repro.pipeline import ArtifactStore
 from repro.serving import ROUTING_POLICIES
 
 N_QUERIES = 10_000
 FLEET = ("r9-nano", "compute-heavy", "bandwidth-lean", "latency-bound")
+#: Interleaved rounds of the complete-cost gate, each ``COMPLETE_REPEATS``
+#: passes over its 12-shape pool.
+COMPLETE_ROUNDS = 31
+COMPLETE_REPEATS = 200
+MAX_COMPLETE_TO_SELECT = 0.2
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +193,55 @@ def test_bench_perf_aware_estimate_memo(fleet_store, fleet_config, workload):
         f"warm {warm * 1e3:.1f} ms"
     )
     assert warm <= cold * 1.5
+
+
+def test_bench_complete_cost(benchmark):
+    """``complete`` costs at most a fifth of a routed ``select``.
+
+    Each round times one pass of routed lookups over the warm pool and
+    one pass of completions, alternating which goes first.  The
+    completions report the lookups of the round before, so nothing is
+    ever over-completed.  The gate is the median per-round ratio of
+    per-call times, after one untimed round.
+    """
+    fleet = synthetic_fleet(replicas=2, budget=4, seed=0)
+    router = fleet.router
+    select = router.select
+    complete = router.complete
+    calls = network_shape_pool()[:12] * COMPLETE_REPEATS
+
+    def route():
+        return [select(shape) for shape in calls]
+
+    def finish(decisions):
+        for decision in decisions:
+            complete(decision.device_id)
+
+    finish(route())  # the untimed round: warms every memo
+    pending = route()
+    ratios = []
+    for round_index in range(COMPLETE_ROUNDS):
+        order = ["select", "complete"]
+        if round_index % 2:
+            order.reverse()
+        times = {}
+        for side in order:
+            start = time.perf_counter()
+            if side == "select":
+                routed = route()
+            else:
+                finish(pending)
+            times[side] = time.perf_counter() - start
+        pending = routed
+        ratios.append(times["complete"] / times["select"])
+    ratio = statistics.median(ratios)
+
+    def serve():
+        finish(route())
+
+    benchmark.pedantic(serve, rounds=3, iterations=1)
+    benchmark.extra_info["complete_to_select"] = ratio
+    stats = router.stats()
+    assert sum(stats.outstanding.values()) == len(calls)
+    print(f"\ncomplete / routed select, per call: {ratio:.3f}")
+    assert ratio <= MAX_COMPLETE_TO_SELECT

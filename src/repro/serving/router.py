@@ -23,6 +23,10 @@ service reports through ``watch_breaker``), draws its turn from an
 another policy, any breaker open, and every batch — is planned by
 :meth:`FleetRouter._plan` in one pass under the router lock; the router
 never holds that lock while calling into a service.
+:meth:`FleetRouter.complete` takes no lock for a known device either:
+it ticks the device's completion counter, and the in-flight load is
+clamped at zero only where it is read, under the lock, by a
+least-outstanding plan and by :meth:`FleetRouter.stats`.
 
 Batches (:meth:`FleetRouter.select_batch`) therefore land where as many
 lookups would.  The plan keeps only each shape's first choice; a
@@ -38,7 +42,8 @@ Service exceptions never escape a routed lookup while any device is
 healthy: the router catches, counts a reroute, and retries the next
 candidate.  Dispatch accounting lives in a :mod:`repro.obs` registry
 (per-device ``fleet.dispatched``/``fleet.completed``, whose difference
-is the in-flight load, and per-policy ``fleet.placements``) and
+clamped at zero is the in-flight load, and per-policy
+``fleet.placements``) and
 cross-device fallbacks emit ``fleet.reroute`` spans on the router's
 tracer; :meth:`FleetRouter.stats` stays a thin view assembling the
 legacy :class:`~repro.serving.stats.FleetStats` shape from those
@@ -135,9 +140,12 @@ class _DeviceEntry:
 
     Load accounting lives in registry counters so a fleet-wide obs
     snapshot carries per-device dispatch counts without a separate
-    stats pass: ``fleet.dispatched`` ticks once per answered lookup and
-    ``fleet.completed`` grows under the router lock in
-    :meth:`FleetRouter.complete`; the in-flight load is the difference.
+    stats pass: ``fleet.dispatched`` grows once per answered lookup and
+    ``fleet.completed`` once per completion reported to
+    :meth:`FleetRouter.complete`, excess included, both without the
+    router lock.  The in-flight load is the difference, clamped at zero
+    by :meth:`load`; ``dropped`` holds the completions that clamp has
+    absorbed.
     """
 
     def __init__(
@@ -156,14 +164,30 @@ class _DeviceEntry:
         labels = {"device": device_id}
         self.c_dispatched = registry.counter("fleet.dispatched", labels)
         self.c_completed = registry.counter("fleet.completed", labels)
+        self.dropped = 0
         # id(config) -> RoutedDecision(device_id, config, False).  Each
         # decision holds its config, so no key's id is reused while the
         # key is in the table.
         self._decided: Dict[int, RoutedDecision] = {}
 
+    def load(self) -> Tuple[int, int]:
+        """``(dispatched, outstanding)`` from one read of each counter.
+
+        Called under the router lock.  Completions are read before
+        dispatches: each completion ticks after its own dispatch, so
+        only a real over-completion can exceed the dispatches read.
+        Such an excess is added to ``dropped`` and the load reads 0.
+        """
+        done = self.c_completed.value - self.dropped
+        sent = self.c_dispatched.value
+        if done > sent:
+            self.dropped += done - sent
+            return sent, 0
+        return sent, sent - done
+
     @property
     def outstanding(self) -> int:
-        return self.c_dispatched.value - self.c_completed.value
+        return self.load()[1]
 
     def decisions(self, configs: Sequence[KernelConfig]) -> List[RoutedDecision]:
         """This device's first-choice decision for each config, interned:
@@ -547,6 +571,10 @@ class FleetRouter:
         Feeds the ``least-outstanding`` policy: callers report
         completion when the launched kernel retires, so the policy
         tracks true in-flight load rather than total dispatch counts.
+        A known device's completions are counted without any lock; the
+        in-flight load is clamped at zero where it is read, so
+        completions in excess of the dispatches cancel later dispatches
+        until the next read (:meth:`stats` or a least-outstanding plan).
 
         When ``shape``/``config``/``seconds`` describe the retired
         kernel and the device's service opted into ``auto_record``
@@ -556,15 +584,17 @@ class FleetRouter:
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        with self._lock:
-            entry = self._devices.get(device_id) or self._entry(device_id)
-            # Clamp at zero: never complete more than is in flight.
-            done = min(n, entry.c_dispatched.value - entry.c_completed.value)
-            if done == 1:
-                entry.c_completed.tick()
-            elif done > 0:
-                entry.c_completed.inc(done)
-            service = entry.service
+        entry = self._devices.get(device_id)
+        if entry is None:
+            # The error lists the devices: iterating them while
+            # add_device inserts one could raise, so take the lock.
+            with self._lock:
+                entry = self._entry(device_id)
+        if n == 1:
+            entry.c_completed.tick()
+        elif n:
+            entry.c_completed.inc(n)
+        service = entry.service
         if (
             shape is not None
             and config is not None
@@ -692,11 +722,10 @@ class FleetRouter:
         """Aggregated fleet snapshot: a thin view over the obs metrics."""
         with self._lock:
             ids = tuple(self._devices)
-            dispatched = {d: self._devices[d].c_dispatched.value for d in ids}
-            # From the same dispatch counts, so the two views agree.
-            outstanding = {
-                d: dispatched[d] - self._devices[d].c_completed.value for d in ids
-            }
+            # One read pair per device, so outstanding <= dispatched.
+            loads = {d: self._devices[d].load() for d in ids}
+            dispatched = {d: sent for d, (sent, _) in loads.items()}
+            outstanding = {d: held for d, (_, held) in loads.items()}
             targeted = self._c_targeted.value
             agnostic = self._c_agnostic.value
             rerouted = self._c_rerouted.value
@@ -741,6 +770,7 @@ class FleetRouter:
             for entry in self._devices.values():
                 entry.c_completed.reset()
                 entry.c_dispatched.reset()
+                entry.dropped = 0
 
     def __repr__(self) -> str:
         with self._lock:

@@ -128,6 +128,10 @@ class FleetStats:
 
     ``devices`` holds each device's :class:`ServiceStats`; ``dispatched``
     / ``outstanding`` the router-side per-device load accounting.
+    ``outstanding`` is dispatches minus completions, clamped at zero
+    when read: both come from one read of the device's counters, so
+    ``0 <= outstanding <= dispatched``, and completions reported in
+    excess of the dispatches are dropped at that read.
     ``rerouted`` counts lookups answered by a device other than the one
     requested or first chosen (cross-device fallback), and
     ``policy_counts`` how often each dispatch policy placed a request.

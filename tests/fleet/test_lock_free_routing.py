@@ -10,7 +10,9 @@ kept here as ``_ReferenceOrder._candidates``.  The two must agree on
 every decision, counter and later placement under all three policies,
 through breaker trips, recoveries, service exceptions, long batches
 and a device added mid-stream.  They also pin the batch path's
-interned decisions and the router's counts under threads.
+interned decisions and the router's counts under threads, and the
+lock-free ``complete`` whose in-flight count is clamped where it is
+read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import sys
 import threading
 import time
 from typing import Optional, Tuple
+
+import pytest
 
 from repro.kernels.params import config_space
 from repro.obs import MetricsRegistry
@@ -576,3 +580,195 @@ def test_over_completion_clamps_at_zero():
     assert router.stats().outstanding["solo"] == 0
     router.select(SHAPES[1])
     assert router.stats().outstanding["solo"] == 1
+
+
+def test_over_completion_cancels_dispatches_until_the_next_read():
+    router = FleetRouter(registry=MetricsRegistry())
+    router.add_device("solo", _service(_Switchable(), fallback=True))
+    router.select(SHAPES[0])
+    router.complete("solo", n=5)
+    # Two ring lookups with no load read in between: the four excess
+    # completions absorb both.
+    router.select(SHAPES[1])
+    router.select(SHAPES[2])
+    stats = router.stats()
+    assert stats.dispatched["solo"] == 3
+    assert stats.outstanding["solo"] == 0
+    # The exported counter counts every completion reported.
+    assert router._devices["solo"].c_completed.value == 5
+    # The read dropped the excess, so later dispatches count again.
+    router.select(SHAPES[3])
+    assert router.stats().outstanding["solo"] == 1
+
+
+def test_complete_on_an_unknown_device_names_the_routed_ones():
+    router = FleetRouter(registry=MetricsRegistry())
+    for did in ("a", "b"):
+        router.add_device(did, _service(_Switchable(), fallback=True))
+    routed = r"no device 'nope' in fleet; routed: \['a', 'b'\]"
+    with pytest.raises(KeyError, match=routed):
+        router.complete("nope")
+
+
+class _NoLock:
+    """Stands in for the router lock and fails whoever takes it."""
+
+    def __enter__(self):
+        raise AssertionError("took the router lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_complete_on_a_known_device_takes_no_lock():
+    router = FleetRouter(registry=MetricsRegistry())
+    router.add_device("solo", _service(_Switchable(), fallback=True))
+    router.select(SHAPES[0])
+    router.select(SHAPES[1])
+    router._lock = _NoLock()
+    router.complete("solo")
+    router.complete("solo", n=1)
+    router._lock = threading.Lock()
+    assert router.stats().outstanding["solo"] == 0
+
+
+class _RacingRead:
+    """A completion counter whose first read sees one more request
+    dispatched and completed while it is being read."""
+
+    def __init__(self, entry):
+        self._inner = entry.c_completed
+        self._dispatched = entry.c_dispatched
+        self._armed = True
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    @property
+    def value(self):
+        if self._armed:
+            self._armed = False
+            self._dispatched.tick()
+            self._inner.tick()
+        return self._inner.value
+
+
+def test_load_reads_completions_before_dispatches():
+    # Completions are read first: a request dispatched and completed
+    # between the two reads then lands in both, never only in the
+    # completions, so it cannot pass for an over-completion.
+    router = FleetRouter(registry=MetricsRegistry())
+    router.add_device("solo", _service(_Switchable(), fallback=True))
+    decision = router.select(SHAPES[0])
+    router.complete(decision.device_id)
+    router.select(SHAPES[1])  # still in flight
+    entry = router._devices["solo"]
+    entry.c_completed = _RacingRead(entry)
+    for _ in range(2):
+        stats = router.stats()
+        assert stats.dispatched["solo"] == 3
+        assert stats.outstanding["solo"] == 1
+        assert entry.dropped == 0
+
+
+class TestLoadReadsUnderThreads:
+    N_WORKERS = 6
+    N_REQUESTS = 600
+    #: Requests a worker holds in flight before completing the oldest.
+    WINDOW = 4
+
+    def test_snapshots_stay_bounded_and_the_final_count_is_exact(self):
+        # Phase 0: workers select and complete while a controller takes
+        # snapshots and clears the router.  Each worker drains what it
+        # holds, and the controller clears once more with nothing in
+        # flight.  Phase 1: the same traffic under snapshots only; each
+        # worker leaves its last requests in flight.
+        router = FleetRouter(registry=MetricsRegistry())
+        for did in ("a", "b", "c"):
+            router.add_device(did, _service(_Switchable(), fallback=True))
+        dispatched = [dict.fromkeys(("a", "b", "c"), 0) for _ in range(self.N_WORKERS)]
+        completed = [dict.fromkeys(("a", "b", "c"), 0) for _ in range(self.N_WORKERS)]
+        bad = []
+        errors = []
+        done = []  # one entry per worker and finished phase
+        between = threading.Barrier(self.N_WORKERS + 1, timeout=60)
+
+        def worker(tid):
+            rng = random.Random(tid)
+            try:
+                for phase in (0, 1):
+                    held = []
+                    for i in range(self.N_REQUESTS):
+                        policy = ("round-robin", "least-outstanding")[i % 2]
+                        shape = SHAPES[(tid + i) % len(SHAPES)]
+                        did = router.select(shape, policy=policy).device_id
+                        held.append(did)
+                        if phase:
+                            dispatched[tid][did] += 1
+                        keep = rng.randint(0, self.WINDOW)
+                        while len(held) > keep:
+                            did = held.pop(0)
+                            n = 1
+                            if held and held[0] == did:
+                                held.pop(0)
+                                n = 2
+                            router.complete(did, n)
+                            if phase:
+                                completed[tid][did] += n
+                    if phase == 0:
+                        for did in held:
+                            router.complete(did)
+                    done.append(tid)
+                    if phase == 0:
+                        between.wait()
+                        between.wait()  # the controller clears in between
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+                between.abort()
+
+        def check(stats):
+            for did, sent in stats.dispatched.items():
+                if not 0 <= stats.outstanding[did] <= sent:
+                    bad.append((did, sent, stats.outstanding[did]))
+
+        def controller():
+            try:
+                for phase in (0, 1):
+                    rounds = 0
+                    while len(done) < self.N_WORKERS * (phase + 1) and not errors:
+                        check(router.stats())
+                        rounds += 1
+                        if phase == 0 and rounds % 2 == 0:
+                            router.clear()
+                    if phase == 0:
+                        between.wait()
+                        router.clear()
+                        between.wait()
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+                between.abort()
+
+        threads = [threading.Thread(target=controller)] + [
+            threading.Thread(target=worker, args=(tid,))
+            for tid in range(self.N_WORKERS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert bad == []
+        stats = router.stats()
+        for did in ("a", "b", "c"):
+            sent = sum(per_worker[did] for per_worker in dispatched)
+            finished = sum(per_worker[did] for per_worker in completed)
+            assert stats.dispatched[did] == sent
+            assert stats.outstanding[did] == sent - finished
+            assert router._devices[did].dropped == 0
+        assert sum(stats.outstanding.values()) > 0
