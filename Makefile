@@ -58,10 +58,10 @@ lint:
 	mypy src/repro
 
 # Every benchmark: the bench-smoke gates below, the ledger's self-tests
-# and the two full-scale experiment gates (split variance and sparse
-# density ordering, ~20 s each) that tier-1 cannot afford.
+# and the full-scale split-variance gate (~20 s) that tier-1 cannot
+# afford.  Gates without a ``benchmark`` fixture run too.
 bench:
-	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/
 
 # Mirrors the CI bench-smoke job: throughput, obs-overhead, compiled
 # hot-path, batched-routing, complete-cost (<= 0.2x a routed select),

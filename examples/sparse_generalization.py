@@ -35,8 +35,8 @@ def main() -> None:
             f"({shape.flops / times.min() / 1e9:6.0f} useful GFLOP/s)"
         )
 
-    print("\nGeneralisation experiment (this takes ~30 s)")
-    print("--------------------------------------------")
+    print("\nGeneralisation experiment")
+    print("-------------------------")
     result = run_sparse_generalization()
     print(result.render())
 

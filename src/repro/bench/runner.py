@@ -3,12 +3,17 @@
 Mirrors the paper's data collection: "For each of these sizes we ran a
 benchmark for each of the kernel configurations, recording the runtime of
 the kernel and number of flops attained over a number of iterations."
+
+A sweep measures windows of shapes by every config through the model's
+``measured_times_block``; only the cells a window leaves NaN (injected
+faults) are measured one at a time, through ``measured_times_seconds``,
+with retries.  A model therefore provides both methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,30 +107,24 @@ def _bench_shapes(
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureRecord, ...]]:
     """All configs for a chunk of shapes.
 
-    A model with ``measured_times_block`` measures the whole
-    (shape x config) window in one call; a cell it returns as NaN is
-    deferred to the per-cell path, which is also the only path for
-    models without a block method.  The per-cell path visits cells
-    shape by shape, in config order, and retries a cell that raised a
+    The model measures the whole (shape x config) window in one
+    ``measured_times_block`` call.  A cell it returns as NaN is deferred
+    to the per-cell path, which visits such cells shape by shape, in
+    config order, and retries a cell that raised a
     :class:`~repro.sycl.exceptions.SyclError`.
     """
-    seconds = np.full((len(shapes), len(configs)), np.nan)
+    # Warm-up iterations are discarded: they model JIT/cache warming.
+    times = model.measured_times_block(
+        shapes,
+        configs,
+        iterations=runner.timed_iterations,
+        start_iteration=runner.warmup_iterations,
+    )
+    # Only the mean enters the dataset; the full summary is reserved
+    # for bench_single's detailed view.
+    seconds = times.mean(axis=2)
     failures: list = []
-    pending: Iterable[Tuple[int, ...]] = np.ndindex(seconds.shape)
-    block = getattr(model, "measured_times_block", None)
-    if block is not None:
-        # Warm-up iterations are discarded: they model JIT/cache warming.
-        times = block(
-            shapes,
-            configs,
-            iterations=runner.timed_iterations,
-            start_iteration=runner.warmup_iterations,
-        )
-        # Only the mean enters the dataset; the full summary is reserved
-        # for bench_single's detailed view.
-        seconds = times.mean(axis=2)
-        pending = zip(*np.nonzero(np.isnan(seconds)))
-    for si, ci in pending:
+    for si, ci in zip(*np.nonzero(np.isnan(seconds))):
         shape, config = shapes[si], configs[ci]
         times = None
         for attempt in range(runner.max_retries + 1):
@@ -175,11 +174,12 @@ class BenchmarkRunner:
         model_params: Optional[PerfModelParams] = None,
         model=None,
     ):
-        """``model`` overrides the default dense GEMM model — anything
-        with ``measured_times_seconds(shape, config, iterations=...,
-        start_iteration=...)`` works (e.g. the sparse model); one that
-        also has ``measured_times_block(shapes, configs, ...)`` is swept
-        a (shape x config) window of ``CHUNK_SHAPES`` shapes per call."""
+        """``model`` overrides the default dense GEMM model (e.g. the
+        sparse model).  It needs ``measured_times_block(shapes, configs,
+        iterations=..., start_iteration=...)``, which sweeps a (shape x
+        config) window of ``CHUNK_SHAPES`` shapes per call, and
+        ``measured_times_seconds(shape, config, ...)``, which re-measures
+        the cells a window returns as NaN."""
         self._device = device
         self._configs = tuple(configs) if configs is not None else tuple(config_space())
         self._runner_config = runner_config or RunnerConfig()

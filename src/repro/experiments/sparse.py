@@ -41,6 +41,8 @@ from repro.workloads.sparse import sparsify
 __all__ = ["SparseGeneralization", "run_sparse_generalization"]
 
 DEFAULT_DENSITIES: Tuple[float, ...] = (1.0, 0.5, 0.25, 0.1)
+#: Every third dataset shape is a base shape (55 of 163).
+_SHAPE_STRIDE = 3
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,10 @@ class SparseGeneralization:
 
 
 def _build_sparse_dataset(
-    densities: Sequence[float],
-    *,
-    shape_stride: int,
-    device: Device,
-    seed: int,
+    densities: Sequence[float], *, device: Device, seed: int
 ) -> PerformanceDataset:
     dense_shapes, _ = extract_dataset_shapes()
-    base = dense_shapes[::shape_stride]
+    base = dense_shapes[::_SHAPE_STRIDE]
     sparse_shapes = sparsify(base, densities)
     model = SparseGemmPerfModel(device, seed=seed)
     runner = BenchmarkRunner(
@@ -118,7 +116,6 @@ def run_sparse_generalization(
     *,
     densities: Sequence[float] = DEFAULT_DENSITIES,
     budget: int = 8,
-    shape_stride: int = 3,
     split_seed: int = 0,
     random_state: int = 0,
     device: Optional[Device] = None,
@@ -129,9 +126,7 @@ def run_sparse_generalization(
         raise ValueError("densities must include 1.0 (the dense rows)")
     device = device or Device.r9_nano()
     if dataset is None:
-        dataset = _build_sparse_dataset(
-            densities, shape_stride=shape_stride, device=device, seed=2020
-        )
+        dataset = _build_sparse_dataset(densities, device=device, seed=2020)
 
     # Split by *base shape* so test rows are unseen at every density.
     bases = sorted({s.dense_equivalent().as_tuple() for s in dataset.shapes})

@@ -215,6 +215,9 @@ class GemmPerfModel:
             * mem.access_efficiency
         )
         memory_seconds = mem.dram_bytes / bandwidth * quirk
+        compute_seconds, memory_seconds = self._scale_phases(
+            shape, config.acc, compute_seconds, memory_seconds
+        )
 
         overhead_seconds = (
             spec.kernel_launch_overhead_us * 1e-6 + params.host_overhead_s
@@ -431,6 +434,9 @@ class GemmPerfModel:
             * access
         )
         memory_seconds = dram_bytes / bandwidth * quirk
+        compute_seconds, memory_seconds = self._scale_phases(
+            shapes, t.acc, compute_seconds, memory_seconds
+        )
 
         overhead_seconds = (
             spec.kernel_launch_overhead_us * 1e-6 + params.host_overhead_s
@@ -468,6 +474,18 @@ class GemmPerfModel:
         return kernel_total
 
     # -- internals ----------------------------------------------------------
+
+    def _scale_phases(self, shapes, acc, compute_seconds, memory_seconds):
+        """Hook between the phase times and their overlap; dense: identity.
+
+        :meth:`breakdown` passes one shape, its config's ``acc`` and
+        scalar phases; :meth:`_grid_times` passes the window, the
+        table's ``(C,)`` ``acc`` row and ``(S, C)`` phases.  A subclass
+        that rescales the phases (the sparse model's density terms)
+        writes arithmetic valid for both, so the two paths stay equal
+        bit for bit.
+        """
+        return compute_seconds, memory_seconds
 
     def _quirk(self, shape: GemmShape, config: KernelConfig) -> float:
         """Stable, structured perturbation around 1.

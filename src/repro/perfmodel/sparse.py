@@ -18,6 +18,11 @@ The upshot — matching what sparse-kernel practice shows — is that the
 *optimal configuration shifts* with density (toward smaller ``acc`` and
 smaller tiles), which is precisely why the paper flags sparse
 generalisation as an open question for a selector trained on dense data.
+
+The model is a :class:`~repro.perfmodel.model.GemmPerfModel` whose
+phase-scaling hook applies these terms, so per-cell times, noise and
+whole-window sweeps are the dense model's own; density-1 rows (and plain
+dense shapes) are left exactly as the dense model times them.
 """
 
 from __future__ import annotations
@@ -26,13 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.params import KernelConfig
 from repro.perfmodel.model import GemmPerfModel
-from repro.perfmodel.noise import noise_factors
 from repro.perfmodel.params import PerfModelParams
 from repro.sycl.device import Device, DeviceSpec
 from repro.workloads.gemm import GemmShape
-from repro.workloads.sparse import SparseGemmShape
 
 __all__ = ["SparseGemmPerfModel"]
 
@@ -41,7 +43,16 @@ _FP32 = 4
 _INDEX_BYTES = 4
 
 
-class SparseGemmPerfModel:
+def _operands(shapes):
+    """(density, m, k, n) of one shape as scalars, or of a window of
+    shapes as ``(S, 1)`` columns.  Dense shapes have density 1."""
+    if isinstance(shapes, GemmShape):
+        return getattr(shapes, "density", 1.0), shapes.m, shapes.k, shapes.n
+    cols = np.array([(getattr(s, "density", 1.0), s.m, s.k, s.n) for s in shapes])
+    return tuple(cols[:, j : j + 1] for j in range(4))
+
+
+class SparseGemmPerfModel(GemmPerfModel):
     """Timing model accepting dense and sparse shapes uniformly."""
 
     def __init__(
@@ -65,92 +76,35 @@ class SparseGemmPerfModel:
         ):
             if value < 0:
                 raise ValueError(f"{name} must be >= 0")
-        self._dense = GemmPerfModel(device, params=params, seed=seed)
+        super().__init__(device, params=params, seed=seed)
         self._decode = decode_cost
         self._gather = gather_cost
         self._imbalance = imbalance_cost
-        self._seed = int(seed)
 
-    @property
-    def dense_model(self) -> GemmPerfModel:
-        return self._dense
-
-    @property
-    def params(self) -> PerfModelParams:
-        return self._dense.params
-
-    def supported(self, config: KernelConfig) -> bool:
-        return self._dense.supported(config)
-
-    # -- timing -----------------------------------------------------------
-
-    def time_seconds(self, shape: GemmShape, config: KernelConfig) -> float:
-        density = getattr(shape, "density", 1.0)
-        dense_shape = (
-            shape.dense_equivalent()
-            if isinstance(shape, SparseGemmShape)
-            else shape
-        )
-        breakdown = self._dense.breakdown(dense_shape, config)
-        if density >= 1.0:
-            return breakdown.total_seconds
+    def _scale_phases(self, shapes, acc, compute_seconds, memory_seconds):
+        density, m, k, n = _operands(shapes)
 
         # Compute: density of the FMAs survive, each carrying decode
         # work; gathers hurt wide accumulator steps; stragglers stretch
         # the wave by the imbalance term.
         sparsity = 1.0 - density
         work_scale = density * (1.0 + self._decode)
-        gather_scale = 1.0 + self._gather * sparsity * (config.acc / 8.0)
+        gather_scale = 1.0 + self._gather * sparsity * (acc / 8.0)
         imbalance_scale = 1.0 + self._imbalance * sparsity
-        compute = (
-            breakdown.compute_seconds
-            * work_scale
-            * gather_scale
-            * imbalance_scale
-        )
+        compute = compute_seconds * work_scale * gather_scale * imbalance_scale
 
         # Memory: the B share of traffic shrinks to density but carries
         # indices; gathered lines are partially wasted (folded into the
         # index overhead constant).
-        m, k, n = dense_shape.m, dense_shape.k, dense_shape.n
         b_share = (k * n) / (m * k + k * n + m * n)
         sparse_bytes_ratio = density * (_FP32 + _INDEX_BYTES) / _FP32
         memory_scale = (1.0 - b_share) + b_share * sparse_bytes_ratio
-        memory = breakdown.memory_seconds * memory_scale
+        memory = memory_seconds * memory_scale
 
+        # Dense rows keep the dense phases; ``[()]`` turns the one-shape
+        # case's 0-d result back into a scalar.
+        pruned = density < 1.0
         return (
-            breakdown.overhead_seconds
-            + max(compute, memory)
-            + 0.15 * min(compute, memory)
-        )
-
-    def gflops(self, shape: GemmShape, config: KernelConfig) -> float:
-        """Useful (nonzero) FLOPs over modelled time."""
-        return shape.flops / self.time_seconds(shape, config) / 1e9
-
-    def measured_times_seconds(
-        self,
-        shape: GemmShape,
-        config: KernelConfig,
-        *,
-        iterations: int,
-        start_iteration: int = 0,
-    ) -> np.ndarray:
-        factors = noise_factors(
-            self._seed,
-            shape,
-            config,
-            iterations,
-            sigma=self.params.noise_sigma,
-            start_iteration=start_iteration,
-        )
-        return self.time_seconds(shape, config) * factors
-
-    def measured_time_seconds(
-        self, shape: GemmShape, config: KernelConfig, *, iteration: int = 0
-    ) -> float:
-        return float(
-            self.measured_times_seconds(
-                shape, config, iterations=1, start_iteration=iteration
-            )[0]
+            np.where(pruned, compute, compute_seconds)[()],
+            np.where(pruned, memory, memory_seconds)[()],
         )

@@ -117,12 +117,8 @@ class FaultyModel:
         consuming that attempt; the runner then measures it through
         :meth:`measured_times_seconds`, whose attempts raise and retry
         exactly as in a per-cell sweep.  Every other cell consumes one
-        attempt here and is measured by the wrapped model's block.  A
-        wrapped model without a block method defers every cell.
+        attempt here and is measured by the wrapped model's block.
         """
-        block = getattr(self._model, "measured_times_block", None)
-        if block is None:
-            return np.full((len(shapes), len(configs), iterations), np.nan)
         deferred: List[Tuple[int, int]] = []
         for si, shape in enumerate(shapes):
             coords = shape.as_tuple()
@@ -135,7 +131,7 @@ class FaultyModel:
                     deferred.append((si, ci))
         # The wrapped model caches its config table per config tuple, so
         # the whole window is cheaper than a per-shape subset of it.
-        times = block(
+        times = self._model.measured_times_block(
             shapes, configs, iterations=iterations, start_iteration=start_iteration
         )
         if deferred:

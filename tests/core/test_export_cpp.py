@@ -25,7 +25,6 @@ from repro.bench.runner import BenchmarkRunner, RunnerConfig
 from repro.core.dataset import PerformanceDataset
 from repro.core.deploy import tune
 from repro.fleet import DEFAULT_FLEET, get_profile
-from repro.kernels.params import config_space
 from repro.ml.tree.structure import LEAF
 from repro.perfmodel.sparse import SparseGemmPerfModel
 from repro.sycl.device import Device
@@ -85,15 +84,9 @@ def dense_cases():
 
 
 def sparse_case():
-    # The sparse model has no block method, so it is swept cell by cell:
-    # a reduced configuration space keeps that under two seconds.
     dataset = sweep(
         sparsify(network_shapes()[::6], densities=(1.0, 0.5, 0.1)),
         model=SparseGemmPerfModel(Device.r9_nano()),
-        configs=config_space(
-            tile_sizes=(1, 2, 4),
-            work_groups=((8, 8), (1, 64), (16, 16), (64, 1)),
-        ),
     )
     deployed = tune(dataset, n_configs=6, random_state=0)
     densities = np.random.default_rng(0).uniform(0.01, 1.0, N_RANDOM)

@@ -37,6 +37,27 @@ class TestParser:
         assert main(["experiments", "--dataset", str(path), "--which", "2"]) == 0
         assert "win counts" in capsys.readouterr().out
 
+    def test_experiments_fig4_averages_three_splits(
+        self, tmp_path, monkeypatch, capsys, small_dataset
+    ):
+        import repro.experiments
+
+        seen = []
+
+        class Rendered:
+            def render(self):
+                return "fig4 table"
+
+        def fake_run_fig4(dataset, **kwargs):
+            seen.append(kwargs)
+            return Rendered()
+
+        monkeypatch.setattr(repro.experiments, "run_fig4", fake_run_fig4)
+        path = small_dataset.save(tmp_path / "ds.npz")
+        assert main(["experiments", "--dataset", str(path), "--which", "4"]) == 0
+        assert seen == [{"split_seeds": (0, 1, 2)}]
+        assert "fig4 table" in capsys.readouterr().out
+
     def test_experiments_fig3(self, tmp_path, capsys, small_dataset):
         path = small_dataset.save(tmp_path / "ds.npz")
         assert main(["experiments", "--dataset", str(path), "--which", "3"]) == 0

@@ -1,4 +1,4 @@
-"""Sparse-generalization experiment mechanics (small scale)."""
+"""Sparse-generalization experiment at full scale (the run takes ~0.2 s)."""
 
 import pytest
 
@@ -7,11 +7,7 @@ from repro.experiments.sparse import run_sparse_generalization
 
 @pytest.fixture(scope="module")
 def result():
-    # Heavily strided base shapes keep this fast; the full-scale run is
-    # the benchmark's job.
-    return run_sparse_generalization(
-        densities=(1.0, 0.5, 0.1), budget=6, shape_stride=9
-    )
+    return run_sparse_generalization()
 
 
 class TestSparseGeneralization:
@@ -24,8 +20,14 @@ class TestSparseGeneralization:
         assert result.score_sparsity_aware <= result.ceiling_sparsity_aware + 1e-9
 
     def test_per_density_scores_cover_sparse_levels(self, result):
-        assert set(result.per_density_scores) == {0.5, 0.1}
+        assert set(result.per_density_scores) == {0.5, 0.25, 0.1}
         assert all(0 < v <= 1 for v in result.per_density_scores.values())
+
+    def test_quality_degrades_as_density_falls(self, result):
+        # Selection quality at 10% density does not beat 50% by more
+        # than noise: the sparse regime is the harder one.
+        scores = result.per_density_scores
+        assert scores[0.1] <= scores[0.5] + 0.05
 
     def test_aware_not_worse(self, result):
         # The point of the experiment: density-aware training should not

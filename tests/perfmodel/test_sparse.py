@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.params import KernelConfig, config_space
+from repro.perfmodel.model import GemmPerfModel
 from repro.perfmodel.sparse import SparseGemmPerfModel
 from repro.sycl.device import Device
 from repro.workloads.gemm import GemmShape
@@ -26,7 +27,7 @@ def sparse(density, m=1024, k=1024, n=1024):
 class TestDenseConsistency:
     def test_density_one_matches_dense_model(self, model):
         shape = sparse(1.0)
-        dense_time = model.dense_model.time_seconds(
+        dense_time = GemmPerfModel(Device.r9_nano(), seed=model.seed).time_seconds(
             shape.dense_equivalent(), cfg()
         )
         assert model.time_seconds(shape, cfg()) == pytest.approx(dense_time)
@@ -34,7 +35,9 @@ class TestDenseConsistency:
     def test_accepts_plain_gemm_shape(self, model):
         shape = GemmShape(m=256, k=256, n=256)
         assert model.time_seconds(shape, cfg()) == pytest.approx(
-            model.dense_model.time_seconds(shape, cfg())
+            GemmPerfModel(Device.r9_nano(), seed=model.seed).time_seconds(
+                shape, cfg()
+            )
         )
 
 
@@ -112,6 +115,40 @@ class TestMeasurement:
     def test_invalid_costs_rejected(self):
         with pytest.raises(ValueError):
             SparseGemmPerfModel(Device.r9_nano(), decode_cost=-1)
+
+
+class TestWindowSweep:
+    """The inherited whole-window sweep against the per-cell oracle."""
+
+    def test_block_matches_per_cell(self, model):
+        rng = np.random.default_rng(5)
+        shapes = [
+            SparseGemmShape(
+                m=int(rng.integers(1, 4097)),
+                k=int(rng.integers(1, 4097)),
+                n=int(rng.integers(1, 4097)),
+                batch=int(rng.integers(1, 5)),
+                density=float(density),
+            )
+            for density in (1.0, 0.5, 0.25, 0.1, 1.0, rng.uniform(0.01, 1.0))
+        ]
+        configs = config_space()
+        for iterations, start in ((3, 2), (2, 7)):
+            block = model.measured_times_block(
+                shapes, configs, iterations=iterations, start_iteration=start
+            )
+            cells = np.array(
+                [
+                    [
+                        model.measured_times_seconds(
+                            shape, config, iterations=iterations, start_iteration=start
+                        )
+                        for config in configs
+                    ]
+                    for shape in shapes
+                ]
+            )
+            np.testing.assert_array_equal(block, cells)
 
 
 class TestRunnerIntegration:

@@ -120,10 +120,14 @@ class TestRetrySemantics:
 
 
 class _PerCellOnly:
-    """Hides a model's block method, forcing the runner's per-cell path."""
+    """Returns every window cell as NaN, forcing the runner's per-cell
+    path for the whole sweep."""
 
     def __init__(self, model):
         self._model = model
+
+    def measured_times_block(self, shapes, configs, *, iterations, start_iteration=0):
+        return np.full((len(shapes), len(configs), iterations), np.nan)
 
     def measured_times_seconds(self, *args, **kwargs):
         return self._model.measured_times_seconds(*args, **kwargs)
