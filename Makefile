@@ -65,11 +65,12 @@ bench:
 
 # Mirrors the CI bench-smoke job: throughput, obs-overhead, compiled
 # hot-path, batched-routing, complete-cost (<= 0.2x a routed select),
-# adaptive-layer and transfer-aware placement gates, the performance
-# ledger's self-tests, a 5 s loadgen smoke with a qps floor, a drifted
-# run with a gap-closure floor, the onboarding quality/cost gate (95%
-# quality at a 10% budget) and the full-stride placement-flip
-# experiment gate.
+# adaptive-layer and transfer-aware placement gates, the onboarding
+# quality/cost gate (95% quality at a 10% budget), a 5 s loadgen smoke
+# with a qps floor, a drifted run with a gap-closure floor, the
+# full-stride placement-flip experiment gate and, last so that a
+# failure there cannot stop the others, the performance ledger's
+# self-tests.
 bench-smoke:
 	PYTHONPATH=src python -m pytest \
 		benchmarks/test_bench_serving.py benchmarks/test_bench_obs.py \
@@ -77,7 +78,6 @@ bench-smoke:
 		benchmarks/test_bench_fleet.py \
 		benchmarks/test_bench_onboard.py benchmarks/test_bench_placement.py \
 		-q -p no:randomly --benchmark-json=bench-results.json
-	PYTHONPATH=src python -m pytest benchmarks/ledger -q -p no:randomly
 	PYTHONPATH=src python -m repro.cli loadgen run \
 		--qps 40000 --duration 5 --workers 4 \
 		--min-qps 10000 --report-json loadgen-report.json
@@ -87,6 +87,7 @@ bench-smoke:
 		--report-json loadgen-drift-report.json
 	PYTHONPATH=src python -m repro.cli placement run \
 		--report-json placement-flip-report.json
+	PYTHONPATH=src python -m pytest benchmarks/ledger -q -p no:randomly
 
 report:
 	python examples/reproduce_paper.py

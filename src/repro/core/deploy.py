@@ -125,23 +125,19 @@ class DeployedSelector:
         self.selector = selector
 
     @classmethod
-    def from_mapped(
-        cls, directory, *, mmap: bool = True, verify: bool = True
-    ) -> "DeployedSelector":
-        """Load from a zero-copy mapped layout (no pickle, digest-checked).
+    def from_mapped(cls, directory, *, verify: bool = True) -> "DeployedSelector":
+        """Load a selector artifact (no pickle, digest-checked).
 
         The inverse of :func:`repro.pipeline.mapped.write_mapped_selector`:
-        tree arrays arrive as read-only ``np.load(mmap_mode="r")`` views
-        over the page cache, so N processes loading the same directory
-        share one physical copy of the tree.  With ``verify=True`` (the
-        default) every array's SHA-256 and the combined metadata digest
-        are checked first; corruption raises
-        :class:`repro.pipeline.mapped.MappedIntegrityError` instead of
-        serving wrong selections.
+        the tree arrays come from one uncompressed ``.npz`` and the rest
+        from tagged JSON.  With ``verify=True`` (the default) the one
+        SHA-256 over the metadata and the arrays is checked first;
+        corruption raises :class:`repro.pipeline.mapped.MappedIntegrityError`
+        instead of serving wrong selections.
         """
-        from repro.pipeline.mapped import load_mapped_selector
+        from repro.pipeline.mapped import _load_selector
 
-        deployed = load_mapped_selector(directory, mmap=mmap, verify=verify)
+        deployed = _load_selector(directory, verify=verify)
         assert isinstance(deployed, cls)
         return deployed
 

@@ -205,6 +205,7 @@ def fleet_pipeline(config: Optional[FleetPipelineConfig] = None) -> Pipeline:
                 fleet_train_stage,
                 (stage_name("split", did), stage_name("prune", did)),
                 codec="selector",
+                version="2",  # the selector codec writes one .npz
             )
         )
         pipeline.add(

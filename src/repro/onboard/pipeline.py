@@ -308,6 +308,7 @@ def onboard_pipeline(config: OnboardPipelineConfig) -> Pipeline:
                 stage_name("onboard-prune", t),
             ),
             codec="selector",
+            version="2",  # the selector codec writes one .npz
         )
     )
     pipeline.add(

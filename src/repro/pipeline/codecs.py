@@ -110,32 +110,30 @@ class SplitCodec(Codec):
 
 
 class SelectorCodec(Codec):
-    """A deployed selector in the zero-copy ``mapped/`` layout.
+    """A deployed selector: its tree arrays in one ``.npz`` plus metadata.
 
     Supports the paper's deployable artefact — a decision-tree selector
     (or a degenerate constant selector) over a pruned set.  Other
     estimator families have no array-only representation here and are
     rejected at save time rather than silently mis-serialized.
 
-    The payload is :mod:`repro.pipeline.mapped`'s layout: uncompressed
-    per-array ``.npy`` files plus SHA-256-digested metadata, which
-    ``load`` maps read-only (digest-verified) so concurrent loaders
-    share one physical copy of the tree.
+    The payload is :mod:`repro.pipeline.mapped`'s layout: an
+    uncompressed ``.npz`` of the tree arrays and tagged-JSON metadata,
+    under one SHA-256 that ``load`` checks, so a corrupt payload fails
+    the load instead of serving wrong selections.
     """
 
     name = "selector"
 
-    MAPPED_DIR = "mapped"
-
     def save(self, value: Any, directory: Path) -> None:
         from repro.pipeline.mapped import write_mapped_selector
 
-        write_mapped_selector(value, directory / self.MAPPED_DIR)
+        write_mapped_selector(value, directory)
 
     def load(self, directory: Path) -> Any:
-        from repro.pipeline.mapped import load_mapped_selector
+        from repro.core.deploy import DeployedSelector
 
-        return load_mapped_selector(directory / self.MAPPED_DIR)
+        return DeployedSelector.from_mapped(directory)
 
 
 class ProfileCodec(Codec):

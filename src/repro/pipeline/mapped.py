@@ -1,18 +1,19 @@
-"""Zero-copy mapped selector artifacts: the selector codec's on-disk layout.
+"""Selector artifacts: the selector codec's on-disk layout.
 
-Each tree array is written as its own uncompressed ``.npy`` file, so
-:func:`load_mapped_selector` can hand the deserialized
-:class:`~repro.ml.tree.structure.Tree` views straight off the page
-cache via ``np.load(mmap_mode="r")`` instead of decompressing fresh
-arrays on every load; concurrent loaders share one physical copy of
-the tree.
+A deployed selector is two files: ``selector_arrays.npz``, one
+uncompressed archive of the tree arrays, and :data:`MAPPED_META_FILE`,
+the canonical tagged-JSON metadata.  One SHA-256 covers both: the
+metadata, each array's dtype and shape, and the arrays' raw bytes in
+:data:`ARRAY_FIELDS` order.  It never hashes the archive's own bytes,
+which carry zip member timestamps.
 
-The layout is digest-protected: ``selector_meta.json`` records a
-SHA-256 per array (over the raw element bytes) plus a combined digest
-over the canonical metadata.  Loading verifies by default and raises
-:class:`MappedIntegrityError` — never a crash deep inside the tree —
-when any byte disagrees.  Like every pipeline codec this is pure data:
-tagged JSON and ``.npy`` arrays, no pickle.
+:meth:`~repro.core.deploy.DeployedSelector.from_mapped` checks the
+digest by default and raises :class:`MappedIntegrityError` — never a
+crash deep inside the tree — on a missing directory, unreadable or
+tampered metadata, or a missing, truncated or altered array.
+``np.load`` checks each zip member's CRC-32 as well, so a flipped data
+byte fails the load even unverified.  Like every pipeline codec this
+is pure data: tagged JSON and ``.npy`` arrays, no pickle.
 """
 
 from __future__ import annotations
@@ -28,16 +29,12 @@ __all__ = [
     "MAPPED_META_FILE",
     "MAPPED_SCHEMA",
     "MappedIntegrityError",
-    "load_mapped_selector",
-    "mapped_digest",
-    "read_mapped_meta",
     "rebuild_deployed",
     "selector_meta",
-    "verify_mapped",
     "write_mapped_selector",
 ]
 
-#: Tree arrays persisted by the mapped layout, in canonical order.
+#: Tree arrays persisted by the layout, in canonical order.
 ARRAY_FIELDS: Tuple[str, ...] = (
     "feature",
     "threshold",
@@ -49,24 +46,29 @@ ARRAY_FIELDS: Tuple[str, ...] = (
 )
 
 MAPPED_META_FILE = "selector_meta.json"
-MAPPED_SCHEMA = "repro/mapped-selector/v1"
+MAPPED_SCHEMA = "repro/mapped-selector/v2"
+_ARRAYS_FILE = "selector_arrays.npz"
 
 
 class MappedIntegrityError(RuntimeError):
     """A mapped selector failed its digest / layout integrity check."""
 
 
-def _array_sha256(array: np.ndarray) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(array).tobytes()
-    ).hexdigest()
-
-
-def _meta_digest(meta: Dict[str, Any]) -> str:
+def _digest(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> str:
+    """SHA-256 over the metadata (bar its digest), each array's dtype and
+    shape, and the arrays' raw bytes in :data:`ARRAY_FIELDS` order."""
     from repro.pipeline.serialize import dumps
 
     body = {key: meta[key] for key in meta if key != "digest"}
-    return hashlib.sha256(dumps(body, canonical=True).encode()).hexdigest()
+    body["arrays"] = {
+        field: [array.dtype.str, list(array.shape)]
+        for field, array in arrays.items()
+    }
+    sha = hashlib.sha256(dumps(body, canonical=True).encode())
+    for field in ARRAY_FIELDS:
+        if field in arrays:
+            sha.update(np.ascontiguousarray(arrays[field]).tobytes())
+    return sha.hexdigest()
 
 
 def selector_meta(deployed: Any) -> Dict[str, Any]:
@@ -111,8 +113,7 @@ def rebuild_deployed(meta: Dict[str, Any], tree: Optional[Any] = None) -> Any:
     """A :class:`~repro.core.deploy.DeployedSelector` from saved metadata.
 
     ``tree`` is the already-deserialized
-    :class:`~repro.ml.tree.structure.Tree` (file-mapped or plain
-    in-memory arrays — the selector does not care).
+    :class:`~repro.ml.tree.structure.Tree`.
     """
     from repro.core.deploy import DeployedSelector
     from repro.core.selection.classifiers import make_selector
@@ -139,11 +140,10 @@ def rebuild_deployed(meta: Dict[str, Any], tree: Optional[Any] = None) -> Any:
 
 
 def write_mapped_selector(deployed: Any, directory: Path) -> str:
-    """Write the mapped layout under ``directory``; returns the digest.
+    """Write the selector under ``directory``; returns its digest.
 
-    One uncompressed ``.npy`` per tree array plus
-    :data:`MAPPED_META_FILE` carrying per-array SHA-256s and the
-    combined digest.
+    The tree arrays go to one uncompressed ``.npz`` and the metadata,
+    digest included, to :data:`MAPPED_META_FILE`.
     """
     from repro.pipeline.serialize import dumps
 
@@ -151,32 +151,51 @@ def write_mapped_selector(deployed: Any, directory: Path) -> str:
     directory.mkdir(parents=True, exist_ok=True)
     meta = selector_meta(deployed)
     meta["schema"] = MAPPED_SCHEMA
-    arrays: Dict[str, Dict[str, Any]] = {}
+    arrays: Dict[str, np.ndarray] = {}
     if meta["has_tree"]:
         tree = deployed.selector.estimator.tree_
-        for field in ARRAY_FIELDS:
-            array = np.ascontiguousarray(getattr(tree, field))
-            filename = f"{field}.npy"
-            np.save(directory / filename, array, allow_pickle=False)
-            arrays[field] = {
-                "file": filename,
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-                "sha256": _array_sha256(array),
-            }
-    meta["arrays"] = arrays
-    digest = _meta_digest(meta)
-    meta["digest"] = digest
+        arrays = {
+            field: np.ascontiguousarray(getattr(tree, field))
+            for field in ARRAY_FIELDS
+        }
+        np.savez(directory / _ARRAYS_FILE, **arrays)
+    meta["digest"] = _digest(meta, arrays)
     (directory / MAPPED_META_FILE).write_text(dumps(meta))
-    return digest
+    return meta["digest"]
 
 
-def read_mapped_meta(directory: Path) -> Dict[str, Any]:
-    """Parse :data:`MAPPED_META_FILE`; malformed metadata is an integrity
-    error, not a crash."""
+def _read_arrays(directory: Path) -> Dict[str, np.ndarray]:
+    path = directory / _ARRAYS_FILE
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {
+                field: archive[field]
+                for field in ARRAY_FIELDS
+                if field in archive.files
+            }
+    except FileNotFoundError:
+        raise MappedIntegrityError(
+            f"mapped selector array file {path} is missing"
+        ) from None
+    except Exception as exc:
+        raise MappedIntegrityError(
+            f"mapped selector array file {path} is unreadable: {exc}"
+        ) from exc
+    absent = [field for field in ARRAY_FIELDS if field not in arrays]
+    if absent:
+        raise MappedIntegrityError(
+            f"mapped selector array file {path} is missing the "
+            f"{absent[0]!r} array"
+        )
+    return arrays
+
+
+def _load_selector(directory: Path, *, verify: bool) -> Any:
+    """The loader behind :meth:`DeployedSelector.from_mapped`."""
     from repro.pipeline.serialize import loads
 
-    path = Path(directory) / MAPPED_META_FILE
+    directory = Path(directory)
+    path = directory / MAPPED_META_FILE
     try:
         meta = loads(path.read_text())
     except FileNotFoundError:
@@ -191,105 +210,15 @@ def read_mapped_meta(directory: Path) -> Dict[str, Any]:
         raise MappedIntegrityError(
             f"mapped selector metadata at {path} has no digest"
         )
-    return meta
-
-
-def mapped_digest(directory: Path) -> str:
-    """The digest recorded in a mapped layout's metadata."""
-    return str(read_mapped_meta(directory)["digest"])
-
-
-def _check_meta_digest(directory: Path, meta: Dict[str, Any]) -> None:
-    if _meta_digest(meta) != meta["digest"]:
+    arrays = _read_arrays(directory) if meta.get("has_tree") else {}
+    if verify and _digest(meta, arrays) != meta["digest"]:
         raise MappedIntegrityError(
-            f"mapped selector metadata at {directory} fails its digest "
-            "check (metadata was modified after write)"
+            f"mapped selector at {directory} fails its SHA-256 digest "
+            "check (metadata or arrays changed after write)"
         )
-
-
-def _load_arrays(
-    directory: Path, meta: Dict[str, Any], *, mmap: bool
-) -> Dict[str, np.ndarray]:
-    mode = "r" if mmap else None
-    arrays: Dict[str, np.ndarray] = {}
-    for field in ARRAY_FIELDS:
-        entry = meta["arrays"].get(field)
-        if entry is None:
-            raise MappedIntegrityError(
-                f"mapped selector at {directory} is missing the "
-                f"{field!r} array entry"
-            )
-        path = directory / entry["file"]
-        try:
-            arrays[field] = np.load(path, mmap_mode=mode, allow_pickle=False)
-        except FileNotFoundError:
-            raise MappedIntegrityError(
-                f"mapped selector array file {path} is missing"
-            ) from None
-        except Exception as exc:
-            raise MappedIntegrityError(
-                f"mapped selector array file {path} is unreadable: {exc}"
-            ) from exc
-    return arrays
-
-
-def _verify_arrays(
-    directory: Path, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]
-) -> None:
-    for field, array in arrays.items():
-        entry = meta["arrays"][field]
-        if str(array.dtype) != entry["dtype"] or list(array.shape) != list(
-            entry["shape"]
-        ):
-            raise MappedIntegrityError(
-                f"mapped array {field!r} at {directory} has layout "
-                f"{array.dtype}{tuple(array.shape)}, metadata says "
-                f"{entry['dtype']}{tuple(entry['shape'])}"
-            )
-        if _array_sha256(array) != entry["sha256"]:
-            raise MappedIntegrityError(
-                f"mapped array {field!r} at {directory} fails its "
-                "SHA-256 check (bytes on disk differ from the digest "
-                "recorded at write time)"
-            )
-
-
-def verify_mapped(directory: Path) -> str:
-    """Full integrity check of a mapped layout; returns the digest.
-
-    Verifies the combined metadata digest and every array's SHA-256.
-    Raises :class:`MappedIntegrityError` on the first disagreement.
-    """
-    directory = Path(directory)
-    meta = read_mapped_meta(directory)
-    _check_meta_digest(directory, meta)
-    if meta.get("has_tree"):
-        arrays = _load_arrays(directory, meta, mmap=True)
-        _verify_arrays(directory, meta, arrays)
-    return str(meta["digest"])
-
-
-def load_mapped_selector(
-    directory: Path, *, mmap: bool = True, verify: bool = True
-) -> Any:
-    """A :class:`~repro.core.deploy.DeployedSelector` off mapped bytes.
-
-    With ``mmap=True`` (the default) the tree arrays are read-only
-    views over the page cache — concurrent loaders share one physical
-    copy.  ``verify=True`` runs the checks of :func:`verify_mapped` on
-    the loaded arrays, so a corrupted artifact surfaces as :class:`MappedIntegrityError` at
-    load time instead of wrong selections later.
-    """
-    directory = Path(directory)
-    meta = read_mapped_meta(directory)
-    if verify:
-        _check_meta_digest(directory, meta)
     tree = None
-    if meta.get("has_tree"):
+    if arrays:
         from repro.ml.tree.structure import Tree
 
-        arrays = _load_arrays(directory, meta, mmap=mmap)
-        if verify:
-            _verify_arrays(directory, meta, arrays)
         tree = Tree(**arrays)
     return rebuild_deployed(meta, tree)

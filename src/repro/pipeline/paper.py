@@ -102,7 +102,10 @@ def paper_pipeline() -> Pipeline:
     pipeline.add(Stage("table1", table1_stage, ("dataset",)))
     pipeline.add(Stage("split", split_stage, ("dataset",), codec="split"))
     pipeline.add(Stage("prune", prune_stage, ("split",)))
-    pipeline.add(Stage("train", train_stage, ("split", "prune"), codec="selector"))
+    # Train version 2: the selector codec writes one .npz of tree arrays.
+    pipeline.add(
+        Stage("train", train_stage, ("split", "prune"), codec="selector", version="2")
+    )
     pipeline.add(Stage("eval", eval_stage, ("split", "train")))
     return pipeline
 

@@ -82,6 +82,14 @@ class TestSparsityEffects:
             shape, cfg(acc=1)
         ) / no_gather.time_seconds(shape, cfg(acc=1))
         assert slowdown_wide > slowdown_narrow
+        # The compute phase alone carries the exact term; the total hides
+        # it behind the compute/memory overlap.
+        for acc in (1, 8):
+            ratio = (
+                model.breakdown(shape, cfg(acc=acc)).compute_seconds
+                / no_gather.breakdown(shape, cfg(acc=acc)).compute_seconds
+            )
+            assert ratio == pytest.approx(1 + 0.35 * (1 - 0.5) * acc / 8)
 
     def test_optimum_shifts_with_density(self, model):
         configs = config_space()

@@ -1,4 +1,7 @@
-"""Mapped selector layout: zero-copy loads, digests, corruption handling."""
+"""Selector artifact layout: round trips, one digest, corruption handling."""
+
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -7,52 +10,100 @@ from repro.core.deploy import DeployedSelector
 from repro.pipeline.mapped import (
     MAPPED_META_FILE,
     MappedIntegrityError,
-    load_mapped_selector,
-    mapped_digest,
-    read_mapped_meta,
-    verify_mapped,
     write_mapped_selector,
 )
+from repro.pipeline.serialize import dumps, loads
+
+ARRAYS_FILE = "selector_arrays.npz"
+
+
+def _rewrite_arrays(directory, **changes):
+    """Rewrite the archive as a valid ``.npz`` with ``changes`` applied:
+    each maps an array name to a function of the old array, or to None
+    to drop it."""
+    path = directory / ARRAYS_FILE
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    for name, change in changes.items():
+        if change is None:
+            del arrays[name]
+        else:
+            arrays[name] = change(arrays[name])
+    np.savez(path, **arrays)
+
+
+def _flip_last_data_byte(path, member):
+    """Flip the last byte of ``member``'s data inside an uncompressed zip."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    raw = bytearray(path.read_bytes())
+    header = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[header + 26 : header + 30])
+    raw[header + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(raw))
 
 
 class TestMappedRoundTrip:
     def test_selections_survive_the_round_trip(
         self, tiny_deployed, mapped_dir, shape_pool
     ):
-        loaded = load_mapped_selector(mapped_dir)
+        loaded = DeployedSelector.from_mapped(mapped_dir)
         assert loaded.select_batch(shape_pool) == tiny_deployed.select_batch(
             shape_pool
         )
 
-    def test_arrays_are_memory_mapped_by_default(self, mapped_dir):
-        loaded = load_mapped_selector(mapped_dir)
-        tree = loaded.selector.estimator.tree_
-        assert isinstance(tree.threshold, np.memmap)
-        assert not tree.threshold.flags.writeable
-
-    def test_mmap_false_loads_plain_arrays(self, mapped_dir):
-        loaded = load_mapped_selector(mapped_dir, mmap=False)
-        tree = loaded.selector.estimator.tree_
-        assert not isinstance(tree.threshold, np.memmap)
-
     def test_from_mapped_constructor(self, mapped_dir, shape_pool):
         loaded = DeployedSelector.from_mapped(mapped_dir)
-        direct = load_mapped_selector(mapped_dir)
-        assert loaded.select_batch(shape_pool) == direct.select_batch(
+        unverified = DeployedSelector.from_mapped(mapped_dir, verify=False)
+        assert isinstance(loaded, DeployedSelector)
+        assert loaded.select_batch(shape_pool) == unverified.select_batch(
             shape_pool
         )
+
+    def test_layout_is_one_uncompressed_archive_and_the_meta(
+        self, mapped_dir
+    ):
+        assert {p.name for p in mapped_dir.iterdir()} == {
+            ARRAYS_FILE,
+            MAPPED_META_FILE,
+        }
+        with zipfile.ZipFile(mapped_dir / ARRAYS_FILE) as archive:
+            infos = archive.infolist()
+        assert len(infos) == 7
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
 
     def test_digest_is_deterministic(self, tiny_deployed, tmp_path):
         a = write_mapped_selector(tiny_deployed, tmp_path / "a")
         b = write_mapped_selector(tiny_deployed, tmp_path / "b")
         assert a == b
-        assert mapped_digest(tmp_path / "a") == a
-        assert verify_mapped(tmp_path / "a") == a
+        meta = loads((tmp_path / "a" / MAPPED_META_FILE).read_text())
+        assert meta["digest"] == a
+
+    def test_digest_ignores_zip_timestamps(
+        self, tiny_deployed, tmp_path, shape_pool
+    ):
+        # A zip member carries its write time, which some NumPy releases
+        # set from the clock; restamp the second archive so the two
+        # files differ while the arrays in them do not.
+        a = write_mapped_selector(tiny_deployed, tmp_path / "a")
+        b = write_mapped_selector(tiny_deployed, tmp_path / "b")
+        path = tmp_path / "b" / ARRAYS_FILE
+        with zipfile.ZipFile(path) as archive:
+            members = [(i.filename, archive.read(i)) for i in archive.infolist()]
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members:
+                archive.writestr(zipfile.ZipInfo(name, (2001, 2, 3, 4, 5, 6)), data)
+        assert path.read_bytes() != (tmp_path / "a" / ARRAYS_FILE).read_bytes()
+        assert a == b
+        loaded = DeployedSelector.from_mapped(tmp_path / "b")
+        assert loaded.select_batch(shape_pool) == tiny_deployed.select_batch(
+            shape_pool
+        )
 
     def test_compiled_path_works_off_mapped_arrays(
         self, mapped_dir, shape_pool
     ):
-        loaded = load_mapped_selector(mapped_dir)
+        loaded = DeployedSelector.from_mapped(mapped_dir)
         compiled = loaded.compiled()
         assert compiled.select_batch(shape_pool[:32]) == loaded.select_batch(
             shape_pool[:32]
@@ -60,61 +111,87 @@ class TestMappedRoundTrip:
 
 
 class TestMappedIntegrity:
-    def test_corrupt_array_file_is_a_clean_integrity_error(
-        self, tiny_deployed, tmp_path
-    ):
+    @pytest.fixture
+    def directory(self, tiny_deployed, tmp_path):
         directory = tmp_path / "m"
         write_mapped_selector(tiny_deployed, directory)
-        path = directory / "threshold.npy"
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF  # flip one data byte past the .npy header
-        path.write_bytes(bytes(raw))
+        return directory
+
+    def test_corrupt_array_file_is_a_clean_integrity_error(self, directory):
+        _flip_last_data_byte(directory / ARRAYS_FILE, "threshold.npy")
+        # The zip member's CRC-32 catches a flipped byte, verified or not.
+        for verify in (True, False):
+            with pytest.raises(MappedIntegrityError, match="unreadable"):
+                DeployedSelector.from_mapped(directory, verify=verify)
+
+    def test_altered_array_fails_the_digest_check(self, directory):
+        _rewrite_arrays(directory, threshold=lambda a: a + 1.0)
         with pytest.raises(MappedIntegrityError, match="SHA-256"):
-            load_mapped_selector(directory)
+            DeployedSelector.from_mapped(directory)
 
-    def test_tampered_metadata_fails_the_digest_check(
-        self, tiny_deployed, tmp_path
+    @pytest.mark.parametrize(
+        "field, relabel",
+        [
+            ("threshold", lambda a: a.view(np.int64)),
+            ("value", lambda a: a.reshape(-1)),
+        ],
+        ids=["dtype", "shape"],
+    )
+    def test_relabelled_array_fails_the_digest_check(
+        self, directory, field, relabel
     ):
-        from repro.pipeline.serialize import dumps
+        with np.load(directory / ARRAYS_FILE) as archive:
+            old = archive[field]
+        new = relabel(old)
+        assert (new.dtype, new.shape) != (old.dtype, old.shape)
+        assert new.tobytes() == old.tobytes()
+        _rewrite_arrays(directory, **{field: relabel})
+        with pytest.raises(MappedIntegrityError, match="SHA-256"):
+            DeployedSelector.from_mapped(directory)
 
-        directory = tmp_path / "m"
-        write_mapped_selector(tiny_deployed, directory)
-        meta = read_mapped_meta(directory)
+    def test_truncated_archive_is_an_integrity_error(self, directory):
+        path = directory / ARRAYS_FILE
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(MappedIntegrityError, match="unreadable"):
+            DeployedSelector.from_mapped(directory)
+
+    def test_tampered_metadata_fails_the_digest_check(self, directory):
+        meta = loads((directory / MAPPED_META_FILE).read_text())
         meta["classifier"] = "SomethingElse"
         (directory / MAPPED_META_FILE).write_text(dumps(meta))
         with pytest.raises(MappedIntegrityError, match="digest"):
-            load_mapped_selector(directory)
+            DeployedSelector.from_mapped(directory)
 
-    def test_unparseable_metadata_is_an_integrity_error(
-        self, tiny_deployed, tmp_path
-    ):
-        directory = tmp_path / "m"
-        write_mapped_selector(tiny_deployed, directory)
+    def test_unparseable_metadata_is_an_integrity_error(self, directory):
         (directory / MAPPED_META_FILE).write_text("{not json")
         with pytest.raises(MappedIntegrityError, match="unreadable"):
-            load_mapped_selector(directory)
+            DeployedSelector.from_mapped(directory)
 
     def test_missing_directory_is_an_integrity_error(self, tmp_path):
         with pytest.raises(MappedIntegrityError, match="no mapped selector"):
-            load_mapped_selector(tmp_path / "nowhere")
+            DeployedSelector.from_mapped(tmp_path / "nowhere")
 
-    def test_missing_array_file_is_an_integrity_error(
-        self, tiny_deployed, tmp_path
-    ):
-        directory = tmp_path / "m"
-        write_mapped_selector(tiny_deployed, directory)
-        (directory / "left.npy").unlink()
+    def test_missing_array_file_is_an_integrity_error(self, directory):
+        _rewrite_arrays(directory, left=None)
+        with pytest.raises(MappedIntegrityError, match="missing the 'left'"):
+            DeployedSelector.from_mapped(directory)
+        (directory / ARRAYS_FILE).unlink()
         with pytest.raises(MappedIntegrityError, match="missing"):
-            load_mapped_selector(directory)
+            DeployedSelector.from_mapped(directory)
 
-    def test_verify_false_skips_the_check(self, tiny_deployed, tmp_path):
-        directory = tmp_path / "m"
-        write_mapped_selector(tiny_deployed, directory)
-        path = directory / "threshold.npy"
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        load_mapped_selector(directory, verify=False)  # caller's risk
+    def test_verify_false_skips_the_check(
+        self, directory, tiny_deployed, shape_pool
+    ):
+        # The schema tag is read by nothing but the digest.
+        meta = loads((directory / MAPPED_META_FILE).read_text())
+        meta["schema"] = "tampered"
+        (directory / MAPPED_META_FILE).write_text(dumps(meta))
+        with pytest.raises(MappedIntegrityError, match="digest"):
+            DeployedSelector.from_mapped(directory)
+        loaded = DeployedSelector.from_mapped(directory, verify=False)
+        assert loaded.select_batch(shape_pool) == tiny_deployed.select_batch(
+            shape_pool
+        )
 
 
 class TestSelectorCodecIntegration:
@@ -134,9 +211,12 @@ class TestSelectorCodecIntegration:
             codec="selector",
         )
         store.put(tiny_deployed, provenance)
+        payload = store.root / "objects" / provenance.fingerprint / "payload"
+        assert {p.name for p in payload.iterdir()} == {
+            ARRAYS_FILE,
+            MAPPED_META_FILE,
+        }
         loaded = store.get(provenance.fingerprint).value
-        tree = loaded.selector.estimator.tree_
-        assert isinstance(tree.threshold, np.memmap)
         assert loaded.select_batch(shape_pool) == tiny_deployed.select_batch(
             shape_pool
         )
@@ -144,8 +224,6 @@ class TestSelectorCodecIntegration:
     def test_payload_without_mapped_layout_is_a_payload_error(
         self, tiny_deployed, tmp_path
     ):
-        import shutil
-
         from repro.pipeline.artifact import Provenance
         from repro.pipeline.store import ArtifactPayloadError, ArtifactStore
 
@@ -160,6 +238,7 @@ class TestSelectorCodecIntegration:
         )
         store.put(tiny_deployed, provenance)
         payload = store.root / "objects" / provenance.fingerprint / "payload"
-        shutil.rmtree(payload / "mapped")
+        for path in payload.iterdir():
+            path.unlink()
         with pytest.raises(ArtifactPayloadError, match="train:eeeeeeeeeeee"):
             store.get(provenance.fingerprint)

@@ -78,8 +78,8 @@ class TestWrongArtifacts:
 
 class TestCorruptedPayloads:
     def _payload_files(self, store, fingerprint):
-        # The selector payload is nested (the zero-copy mapped/ layout
-        # under the payload directory): corrupt every file, recursively.
+        # The selector payload is two files (the tree-array archive and
+        # its metadata); corrupt every file, recursively.
         payload_dir = store.root / "objects" / fingerprint / "payload"
         return sorted(p for p in payload_dir.rglob("*") if p.is_file())
 
