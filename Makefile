@@ -101,5 +101,5 @@ examples:
 	python examples/convolution_layers.py
 
 clean:
-	rm -rf benchmarks/.cache examples/.cache .pytest_cache
+	rm -rf .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

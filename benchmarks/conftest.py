@@ -1,24 +1,19 @@
 """Benchmark fixtures.
 
-The full dataset is generated once and cached on disk under
-``benchmarks/.cache`` so repeated benchmark runs skip the ~15 s sweep.
-Delete the cache to force regeneration.
+The full dataset is generated once per session: the sweep takes a
+fraction of a second, so nothing is cached on disk.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
 from repro.core.dataset import PerformanceDataset, generate_dataset
 
-CACHE = Path(__file__).parent / ".cache" / "dataset.npz"
-
 
 @pytest.fixture(scope="session")
 def full_dataset() -> PerformanceDataset:
-    return generate_dataset(cache_path=CACHE)
+    return generate_dataset()
 
 
 @pytest.fixture(scope="session")

@@ -7,12 +7,14 @@ Two claims back the adaptive layer's deployment story:
   router, the path live traffic actually takes — with absolute
   added-latency guards on the raw service ``select``/``select_batch``
   wrappers (all interleaved best-of-N so machine noise hits both
-  sides equally, the ``test_bench_obs.py`` idiom);
+  sides equally, the ``test_bench_obs.py`` idiom) and on the wrapper
+  alone, timed against the inner service call it ends in;
 * on the drifted synthetic workload the adaptive loop closes >= 50% of
   the static-to-oracle geomean gap (the figure the CLI smoke gate also
   enforces via ``repro loadgen run --adaptive --min-gap-closure``).
 """
 
+import operator
 import statistics
 import time
 
@@ -34,6 +36,12 @@ SERVE_REPEATS = 400
 MAX_WARM_PATH_OVERHEAD = 0.05
 MAX_SINGLE_ADDED_US = 2.0
 MAX_BATCH_ADDED_US_PER_ITEM = 1.5
+#: Paired rounds of the wrapper-alone gate, each ``WRAPPER_REPEATS``
+#: passes over its 12-shape pool (~35-60 ms a side on a 2-vCPU host).
+WRAPPER_ROUNDS = 51
+WRAPPER_REPEATS = 2000
+#: Twelve runs on a 2-vCPU host read +0.31 to +0.60 us (median 0.45).
+MAX_WRAPPER_ADDED_US = 1.0
 MIN_GAP_CLOSURE = 0.5
 
 #: The adaptive knobs that pin every request to the warm admitted,
@@ -74,34 +82,39 @@ def _best_of_interleaved(fn_a, fn_b, rounds):
     return best_a, best_b
 
 
-def _paired_overhead(fn_test, fn_base, rounds):
-    """Median of per-round paired time ratios, alternating order.
+def _paired_times(fn_test, fn_base, rounds):
+    """Per-round wall times of two callables, paired, alternating order.
 
     One untimed round of each side comes first, so neither side's first
     timed round pays for cold caches.  Each round then times the two
     callables back to back, so slow machine drift (thermal throttling,
-    background load) hits both sides of a pair equally; the median over
-    rounds keeps any single noisy round from moving the estimate.
-    Returns ``median(test / base) - 1`` plus the two median wall times
-    for reporting.
+    background load) hits both sides of a pair equally.  Returns the
+    two lists of times, index-aligned by round.
     """
     fn_test()
     fn_base()
-    ratios = []
     test_times = []
     base_times = []
     for round_index in range(rounds):
-        pair = [("test", fn_test), ("base", fn_base)]
+        pair = [(test_times, fn_test), (base_times, fn_base)]
         if round_index % 2:
             pair.reverse()
-        times = {}
-        for side, fn in pair:
+        for times, fn in pair:
             start = time.perf_counter()
             fn()
-            times[side] = time.perf_counter() - start
-        ratios.append(times["test"] / times["base"])
-        test_times.append(times["test"])
-        base_times.append(times["base"])
+            times.append(time.perf_counter() - start)
+    return test_times, base_times
+
+
+def _paired_overhead(fn_test, fn_base, rounds):
+    """Median of per-round paired time ratios.
+
+    The median over rounds keeps any single noisy round from moving
+    the estimate.  Returns ``median(test / base) - 1`` plus the two
+    median wall times for reporting.
+    """
+    test_times, base_times = _paired_times(fn_test, fn_base, rounds)
+    ratios = map(operator.truediv, test_times, base_times)
     return (
         statistics.median(ratios) - 1.0,
         statistics.median(test_times),
@@ -170,6 +183,73 @@ def test_bench_adaptive_warm_serving_path_overhead(benchmark):
         stats = service.adaptive_stats()
         assert stats.trials == 0
         assert stats.active_overrides == 0
+
+
+def test_bench_adaptive_wrapper_added_latency(benchmark, deployed, split):
+    """Per-call cost of the warm admitted adaptive wrapper alone.
+
+    The inner service serves the compiled tree directly, so a warm
+    admitted ``select`` ends in ``inner.select(shape, key, base)``.  The
+    baseline makes exactly that call, so the difference is the
+    wrapper's own work: the key tuple, the state lookup, the hit tick,
+    the slot reads and one frame.  Both sides walk the same item list,
+    so loop overhead cancels.
+    """
+    registry = MetricsRegistry()
+    inner = SelectionService(deployed.compiled(), registry=registry)
+    adaptive = AdaptiveSelectionService(
+        inner,
+        config=WARM_ONLY,
+        registry=registry,
+        candidates=deployed.library.configs,
+    )
+    _, test = split
+    items = [
+        (shape, shape.as_tuple(), inner.select(shape))
+        for shape in test.shapes[:12]
+    ]
+    for shape, _, base in items:
+        assert adaptive.select(shape) == base  # admits on first sight
+
+    def adaptive_loop():
+        select = adaptive.select
+        for _ in range(WRAPPER_REPEATS):
+            for shape, key, base in items:
+                select(shape)
+
+    def bare_loop():
+        select = inner.select
+        for _ in range(WRAPPER_REPEATS):
+            for shape, key, base in items:
+                select(shape, key, base)
+
+    # The absolute difference, not a ratio: the bare call may itself
+    # get faster, and that must not fail the wrapper's gate.
+    adaptive_times, bare_times = _paired_times(
+        adaptive_loop, bare_loop, WRAPPER_ROUNDS
+    )
+    added_s = statistics.median(
+        map(operator.sub, adaptive_times, bare_times)
+    )
+    adaptive_s = statistics.median(adaptive_times)
+    bare_s = statistics.median(bare_times)
+    benchmark.pedantic(adaptive_loop, rounds=3, iterations=1)
+
+    calls = WRAPPER_REPEATS * len(items)
+    added_us = added_s / calls * 1e6
+    benchmark.extra_info["added_us"] = added_us
+    print(
+        f"\nwarm admitted wrapper: adaptive "
+        f"{adaptive_s / calls * 1e6:.3f} us/call, bare inner "
+        f"{bare_s / calls * 1e6:.3f} us/call -> +{added_us:.3f} us"
+    )
+    assert added_us < MAX_WRAPPER_ADDED_US
+
+    # Every call stayed on the admitted non-trial path.
+    stats = adaptive.adaptive_stats()
+    assert stats.trials == 0
+    assert stats.active_overrides == 0
+    assert stats.tracked_shapes == len(items)
 
 
 def test_bench_adaptive_single_select_added_latency(

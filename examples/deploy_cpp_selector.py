@@ -13,17 +13,13 @@ Run:  python examples/deploy_cpp_selector.py
 (exits non-zero if the generated Python disagrees with the selector)
 """
 
-from pathlib import Path
-
 import repro
 from repro.kernels.params import config_space
 from repro.kernels.registry import KernelLibrary
 
-CACHE = Path(__file__).parent / ".cache" / "dataset.npz"
-
 
 def main() -> None:
-    dataset = repro.generate_dataset(cache_path=CACHE)
+    dataset = repro.generate_dataset()
     train, _ = dataset.split(test_size=0.2, random_state=0)
     deployed = repro.tune(train, n_configs=6, random_state=0)
 

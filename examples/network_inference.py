@@ -14,8 +14,6 @@ accumulated simulated device time:
 Run:  python examples/network_inference.py
 """
 
-from pathlib import Path
-
 import numpy as np
 
 import repro
@@ -23,11 +21,9 @@ from repro.kernels.naive import NAIVE_CONFIG
 from repro.perfmodel import GemmPerfModel
 from repro.workloads.extract import extract_network_shapes
 
-CACHE = Path(__file__).parent / ".cache" / "dataset.npz"
-
 
 def main() -> None:
-    dataset = repro.generate_dataset(cache_path=CACHE)
+    dataset = repro.generate_dataset()
     train, _ = dataset.split(test_size=0.2, random_state=0)
     deployed = repro.tune(train, n_configs=8, random_state=0)
 

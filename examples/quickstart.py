@@ -4,7 +4,7 @@
 This walks the whole pipeline in ~30 lines of user code:
 
 1. regenerate the performance dataset on the simulated R9 Nano
-   (cached next to this script, so reruns are instant);
+   (a fraction of a second);
 2. prune the 640 kernel configurations down to 8 with the paper's
    decision-tree method and train a decision-tree runtime selector;
 3. execute a matrix multiply through a SYCL-style queue, letting the
@@ -13,18 +13,14 @@ This walks the whole pipeline in ~30 lines of user code:
 Run:  python examples/quickstart.py
 """
 
-from pathlib import Path
-
 import numpy as np
 
 import repro
 
-CACHE = Path(__file__).parent / ".cache" / "dataset.npz"
-
 
 def main() -> None:
     print("1) Building the performance dataset (640 configs x ~160 shapes)...")
-    dataset = repro.generate_dataset(cache_path=CACHE)
+    dataset = repro.generate_dataset()
     print(f"   {dataset}")
 
     print("2) Tuning: prune to 8 configs, train a decision-tree selector...")

@@ -2,20 +2,16 @@
 """Full reproduction: regenerate every figure and table of the paper.
 
 Produces ASCII renderings of Figures 1-4 and Table I from a freshly
-generated (or cached) dataset, exactly as the benchmarks assert them.
+generated dataset, exactly as the benchmarks assert them.
 
 Run:  python examples/reproduce_paper.py
 """
 
-from pathlib import Path
-
 from repro.experiments import run_all
-
-CACHE = Path(__file__).parent / ".cache" / "dataset.npz"
 
 
 def main() -> None:
-    results = run_all(cache_path=CACHE)
+    results = run_all()
     print(results.render())
 
     print("\n" + "=" * 72)

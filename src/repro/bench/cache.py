@@ -1,32 +1,27 @@
 """Dataset persistence: save/load benchmark results as ``.npz``.
 
 The paper publishes its dataset alongside the code; this module plays
-that role so the (seconds-scale) regeneration can be skipped by examples
-and benchmarks that only consume the data.
-
-A cached file is only as good as its provenance: :func:`load_dataset`
-can validate the stored meta (runner protocol, device, performance-model
-constants) against what the caller actually requested and raise
-:class:`CacheMismatchError` instead of silently serving stale data.  The
-:mod:`repro.pipeline` artifact store builds on this format and adds
-content addressing — prefer it for anything beyond a single ad-hoc file.
+that role: ``repro dataset --out`` writes a file that a later
+``--dataset`` loads.  A file records its device and runner protocol but
+is never checked against a request.  Reusing a sweep safely is the
+:mod:`repro.pipeline` artifact store's job (``generate_dataset(store=)``):
+its sweep fingerprint covers the device, the runner protocol and the
+performance-model constants.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Union
 
 import numpy as np
 
 from repro.bench.runner import BenchmarkResult, RunnerConfig
 from repro.kernels.params import KernelConfig
-from repro.perfmodel.params import PerfModelParams
 from repro.workloads.gemm import GemmShape
 
-__all__ = ["CacheMismatchError", "load_dataset", "save_dataset"]
+__all__ = ["load_dataset", "save_dataset"]
 
 #: Version 2: measurement noise comes from the counter-based generator
 #: of :mod:`repro.perfmodel.noise`; version-1 files carry the retired
@@ -34,21 +29,8 @@ __all__ = ["CacheMismatchError", "load_dataset", "save_dataset"]
 _FORMAT_VERSION = 2
 
 
-class CacheMismatchError(ValueError):
-    """A cached dataset's meta disagrees with what the caller requested."""
-
-
-def save_dataset(
-    result: BenchmarkResult,
-    path: Union[str, Path],
-    *,
-    model_params: Optional[PerfModelParams] = None,
-) -> Path:
-    """Serialise a benchmark result; returns the written path.
-
-    ``model_params`` records the performance-model constants the sweep
-    ran with, so a later load can detect a model change.
-    """
+def save_dataset(result: BenchmarkResult, path: Union[str, Path]) -> Path:
+    """Serialise a benchmark result; returns the written path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -61,9 +43,6 @@ def save_dataset(
             "max_retries": result.runner.max_retries,
             "retry_backoff_s": result.runner.retry_backoff_s,
         },
-        "model_params": (
-            None if model_params is None else dataclasses.asdict(model_params)
-        ),
     }
     np.savez_compressed(
         path,
@@ -83,65 +62,17 @@ def save_dataset(
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-def _meta_mismatches(
-    meta: dict,
-    expected_runner: Optional[RunnerConfig],
-    expected_device_name: Optional[str],
-    expected_model_params: Optional[PerfModelParams],
-) -> List[str]:
-    mismatches = []
-    if expected_device_name is not None:
-        cached = meta.get("device_name")
-        if cached != expected_device_name:
-            mismatches.append(
-                f"device: cached {cached!r} != requested {expected_device_name!r}"
-            )
-    if expected_runner is not None:
-        cached_runner = RunnerConfig(**meta["runner"])
-        if cached_runner != expected_runner:
-            mismatches.append(
-                f"runner: cached {cached_runner} != requested {expected_runner}"
-            )
-    if expected_model_params is not None:
-        cached_model = meta.get("model_params")
-        requested = dataclasses.asdict(expected_model_params)
-        if cached_model != requested:
-            mismatches.append(
-                "model_params: cached "
-                f"{'<absent>' if cached_model is None else cached_model} "
-                f"!= requested {requested}"
-            )
-    return mismatches
-
-
-def load_dataset(
-    path: Union[str, Path],
-    *,
-    expected_runner: Optional[RunnerConfig] = None,
-    expected_device_name: Optional[str] = None,
-    expected_model_params: Optional[PerfModelParams] = None,
-) -> BenchmarkResult:
+def load_dataset(path: Union[str, Path]) -> BenchmarkResult:
     """Load a benchmark result written by :func:`save_dataset`.
 
-    Any ``expected_*`` argument is validated against the cached meta; a
-    disagreement raises :class:`CacheMismatchError` (callers treat it as
-    a cache miss) instead of silently returning a stale dataset.
+    Older files that also record ``model_params`` load the same way.
     """
     with np.load(Path(path), allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("format_version") != _FORMAT_VERSION:
-            # A mismatch, not a hard error: callers regenerate the data.
-            raise CacheMismatchError(
+            raise ValueError(
                 f"unsupported dataset format {meta.get('format_version')!r} "
                 f"in {Path(path)} (expected {_FORMAT_VERSION})"
-            )
-        mismatches = _meta_mismatches(
-            meta, expected_runner, expected_device_name, expected_model_params
-        )
-        if mismatches:
-            raise CacheMismatchError(
-                f"cached dataset {Path(path)} does not match the request: "
-                + "; ".join(mismatches)
             )
         shapes = tuple(
             GemmShape(m=int(m), k=int(k), n=int(n), batch=int(b))

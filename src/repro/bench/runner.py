@@ -218,7 +218,7 @@ class BenchmarkRunner:
         ``max_workers`` accepts only 1: the sweep has no process pool,
         and the keyword stays only because the performance ledger's
         ``offline-build`` workload still passes ``max_workers=1``.  It
-        goes together with that line (ROADMAP item 6).
+        goes together with that line (ROADMAP item 1).
 
         A cell whose measurement raises a
         :class:`~repro.sycl.exceptions.SyclError` is retried up to

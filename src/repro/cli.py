@@ -53,10 +53,7 @@ def _load_or_generate(args):
 
     if args.dataset is not None and Path(args.dataset).exists():
         return PerformanceDataset.load(args.dataset)
-    return generate_dataset(
-        device=Device.from_preset(args.device),
-        cache_path=args.dataset,
-    )
+    return generate_dataset(device=Device.from_preset(args.device))
 
 
 def _export_obs(path: Path, registry, tracer=None) -> None:

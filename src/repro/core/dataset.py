@@ -8,14 +8,12 @@ train/test splitting — plus persistence and the one-call
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.bench.cache import CacheMismatchError
 from repro.bench.cache import load_dataset as _load_raw
 from repro.bench.cache import save_dataset as _save_raw
 from repro.bench.runner import BenchmarkResult, BenchmarkRunner, RunnerConfig
@@ -268,33 +266,25 @@ def generate_dataset(
     model_params: Optional[PerfModelParams] = None,
     networks: Sequence[str] = DEFAULT_NETWORKS,
     placements: Optional[Sequence[str]] = None,
-    cache_path: Optional[Union[str, Path]] = None,
     store=None,
 ) -> PerformanceDataset:
     """Regenerate the paper's dataset end to end.
 
     Extracts GEMM shapes from the three networks, benchmarks all 640
     configurations per shape on the simulated device and returns the
-    table.  With ``cache_path`` set, a previously saved dataset on disk
-    is reused — but only if its recorded meta (runner protocol, device,
-    model constants) matches this request; a mismatch is treated as a
-    cache miss with a warning and the sweep is regenerated.
+    table.
 
     With ``store`` set to a
     :class:`~repro.pipeline.store.ArtifactStore`, generation routes
     through the content-addressed pipeline instead: the sweep and
-    dataset stages are fingerprinted and reused incrementally
-    (``cache_path`` is then ignored).
+    dataset stages are fingerprinted (device, runner protocol, model
+    constants, networks, placements) and reused incrementally.
 
     With ``placements`` set (e.g. ``("device", "host")``), every
     extracted shape is crossed with the given data residencies before
-    the sweep, so the table gains a placement axis.  The flat ``.npz``
-    cache cannot round-trip placed shapes, so ``cache_path`` is ignored
-    in that mode (the pipeline ``store`` path handles it fine — its
-    codec pickles shapes faithfully).
+    the sweep, so the table gains a placement axis.
     """
     device = device or Device.r9_nano()
-    effective_runner = runner_config or RunnerConfig()
 
     if store is not None:
         from repro.pipeline.paper import generate_dataset_stages
@@ -302,36 +292,11 @@ def generate_dataset(
         return generate_dataset_stages(
             store,
             device=device,
-            runner_config=effective_runner,
+            runner_config=runner_config or RunnerConfig(),
             model_params=model_params,
             networks=tuple(networks),
             placements=tuple(placements) if placements else None,
         )
-
-    if placements:
-        cache_path = None
-
-    if cache_path is not None:
-        cache_path = Path(cache_path)
-        effective = (
-            cache_path if cache_path.suffix == ".npz"
-            else cache_path.with_suffix(cache_path.suffix + ".npz")
-        )
-        if effective.exists():
-            try:
-                return PerformanceDataset.from_benchmark(
-                    _load_raw(
-                        effective,
-                        expected_runner=effective_runner,
-                        expected_device_name=device.name,
-                        expected_model_params=model_params,
-                    )
-                )
-            except CacheMismatchError as exc:
-                warnings.warn(
-                    f"ignoring stale dataset cache: {exc}; regenerating",
-                    stacklevel=2,
-                )
 
     shapes, _ = extract_dataset_shapes(networks=networks)
     if placements:
@@ -341,7 +306,4 @@ def generate_dataset(
         runner_config=runner_config,
         model_params=model_params,
     )
-    result = runner.run(shapes)
-    if cache_path is not None:
-        _save_raw(result, cache_path, model_params=model_params)
-    return PerformanceDataset.from_benchmark(result)
+    return PerformanceDataset.from_benchmark(runner.run(shapes))

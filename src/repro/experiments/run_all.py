@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.dataset import PerformanceDataset, generate_dataset
 from repro.experiments.fig1 import Fig1Result, run_fig1
@@ -43,12 +42,11 @@ class AllResults:
 def run_all(
     dataset: Optional[PerformanceDataset] = None,
     *,
-    cache_path: Optional[Union[str, Path]] = None,
     split_seed: int = 0,
 ) -> AllResults:
     """Regenerate every figure and table from one shared dataset."""
     if dataset is None:
-        dataset = generate_dataset(cache_path=cache_path)
+        dataset = generate_dataset()
     return AllResults(
         dataset=dataset,
         fig1=run_fig1(dataset),

@@ -69,11 +69,6 @@ class KernelLibrary:
         return self._configs
 
     @property
-    def compiled_kernels(self) -> List[CompiledKernel]:
-        """Distinct template instantiations actually compiled in."""
-        return list(self._compiled.values())
-
-    @property
     def num_configs(self) -> int:
         return len(self._configs)
 

@@ -31,19 +31,8 @@ class CondensedTree:
     child_size: np.ndarray
     n_points: int
 
-    def cluster_ids(self) -> np.ndarray:
-        """All condensed cluster ids (root first)."""
-        return np.unique(self.parent)
-
     def children_clusters(self, cluster: int) -> np.ndarray:
         mask = (self.parent == cluster) & (self.child_size > 1)
-        return self.child[mask]
-
-    def points_of(self, cluster: int) -> np.ndarray:
-        """Points directly attached to ``cluster`` (not via sub-clusters)."""
-        mask = (self.parent == cluster) & (self.child < self.n_points) & (
-            self.child_size == 1
-        )
         return self.child[mask]
 
 

@@ -14,8 +14,8 @@ Layers:
   content-addressed root params of an onboarding branch;
 * :mod:`repro.onboard.sampler` — seeded random / stratified / active
   cell plans;
-* :mod:`repro.onboard.sweep` — :class:`PartialSweep` and the budgeted
-  measurement loop (active refinement rounds included);
+* :mod:`repro.onboard.sweep` — :class:`PartialSweep`: the budgeted
+  cells of one window sweep (active refinement rounds included);
 * :mod:`repro.onboard.impute` — the joint cross-device forest;
 * :mod:`repro.onboard.transfer` — few-shot residual calibration and the
   zero-shot :class:`TransferSelector` baseline;
@@ -43,7 +43,7 @@ from repro.onboard.pipeline import (
 )
 from repro.onboard.report import OnboardReport, build_report
 from repro.onboard.sampler import pick_informative_cells, plan_cells, shape_family
-from repro.onboard.sweep import PartialSweep, measure_cells, run_partial_sweep
+from repro.onboard.sweep import PartialSweep, run_partial_sweep
 from repro.onboard.transfer import (
     ResidualCorrection,
     TransferSelector,
@@ -68,7 +68,6 @@ __all__ = [
     "calibrated_dataset",
     "fit_residual_correction",
     "impute_dataset",
-    "measure_cells",
     "onboard_fingerprints",
     "onboard_params",
     "onboard_pipeline",

@@ -269,10 +269,6 @@ class ImputationModel:
         self._forest.fit(np.vstack(rows), np.concatenate(targets))
         return self
 
-    @property
-    def featurizer(self) -> CellFeaturizer:
-        return self._featurizer
-
     def predict_target(self) -> Tuple[np.ndarray, np.ndarray]:
         """(log-gflops prediction, ensemble std), both (n_shapes, n_configs)."""
         feat = self._featurizer

@@ -1,16 +1,20 @@
-"""Budgeted partial sweeps: measure a cell subset, leave the rest NaN.
+"""Budgeted partial sweeps: reveal a cell subset, leave the rest NaN.
 
 :func:`run_partial_sweep` is the onboarding counterpart of
-:meth:`BenchmarkRunner.run`: instead of the full (shape x config)
-table it benchmarks only the cells a sampler picked under an
-:class:`~repro.onboard.budget.OnboardBudget`.  Measured cells are
-bit-identical to the full sweep's values (the runner's counter-based
-noise depends only on the (shape, config) pair, never on which other
-cells ran), so a partial sweep is exactly the full table with NaN holes
-— the masking convention every downstream consumer already speaks.
+:meth:`BenchmarkRunner.run`, and is built on it: the runner sweeps the
+whole (shape x config) table once, through the same chunked window
+path, retries and skip-and-record policy as every full sweep, and only
+the cells a sampler picked under an
+:class:`~repro.onboard.budget.OnboardBudget` are copied into the
+result.  The budget therefore prices what onboarding would measure on
+real hardware; on the simulated device a window sweep costs less than
+measuring the budgeted cells one by one.  Revealed cells are the full
+sweep's values by construction, so a partial sweep is exactly the full
+table with NaN holes — the masking convention every downstream
+consumer already speaks.
 
 The ``active`` sampler closes the loop: after a stratified warm start
-it refits the cross-device imputation model on everything measured so
+it refits the cross-device imputation model on everything revealed so
 far and spends the next round's budget where the forest's trees
 disagree most, weighted toward cells predicted to be near their row's
 winner.
@@ -28,9 +32,8 @@ from repro.core.dataset import PerformanceDataset
 from repro.onboard.budget import OnboardBudget
 from repro.onboard.impute import ImputationModel, SourceBranch
 from repro.onboard.sampler import pick_informative_cells, plan_cells
-from repro.sycl.exceptions import SyclError
 
-__all__ = ["PartialSweep", "measure_cells", "run_partial_sweep"]
+__all__ = ["PartialSweep", "run_partial_sweep"]
 
 
 @dataclass(frozen=True)
@@ -38,9 +41,9 @@ class PartialSweep:
     """A budgeted sweep: the holey table plus how its cells were chosen.
 
     ``cells`` are the flat indices (``row * n_configs + col``) the
-    sampler *attempted*, in sorted order; a cell whose measurement
-    raised stays NaN in the table but remains listed (it consumed
-    budget).  ``dataset`` is a normal
+    sampler *attempted*, in sorted order; a cell the runner left NaN
+    after its retries stays NaN in the table but remains listed (it
+    consumed budget).  ``dataset`` is a normal
     :class:`~repro.core.dataset.PerformanceDataset` — NaN marks
     unmeasured or failed cells, and every row has at least one finite
     value by sampler construction.
@@ -84,33 +87,6 @@ class PartialSweep:
         )
 
 
-def measure_cells(
-    runner: BenchmarkRunner,
-    shapes: Sequence,
-    flat_cells: np.ndarray,
-    gflops: np.ndarray,
-) -> int:
-    """Benchmark the given flat cells into ``gflops`` in place.
-
-    Returns the number of cells whose measurement raised a
-    :class:`~repro.sycl.exceptions.SyclError` (left NaN, like the full
-    runner's skip-and-record policy).
-    """
-    configs = runner.configs
-    n_configs = len(configs)
-    failed = 0
-    for flat in flat_cells.tolist():
-        row, col = divmod(int(flat), n_configs)
-        shape = shapes[row]
-        try:
-            summary = runner.bench_single(shape, configs[col])
-        except SyclError:
-            failed += 1
-            continue
-        gflops[row, col] = shape.flops / summary.mean / 1e9
-    return failed
-
-
 def _acquisition(
     predicted_log: np.ndarray, std: np.ndarray
 ) -> np.ndarray:
@@ -133,66 +109,62 @@ def run_partial_sweep(
     sources: Optional[Sequence[SourceBranch]] = None,
     device_name: Optional[str] = None,
 ) -> PartialSweep:
-    """Benchmark a budgeted cell subset on ``runner``'s device.
+    """Reveal a budgeted cell subset of ``runner``'s sweep.
 
     ``random`` and ``stratified`` plan every cell up front;
     ``active`` needs ``sources`` (the existing fleet branches) to refit
-    the imputation model between rounds.  The result is deterministic
-    in (budget, seed, device): cell order never affects measured values.
+    the imputation model between rounds.  ``failed`` counts the planned
+    cells the runner left NaN after its retries.  The result is
+    deterministic in (budget, seed, device): cell order never affects
+    the revealed values.
     """
+    if budget.sampler == "active" and not sources:
+        raise ValueError(
+            "the active sampler refits the imputation model between "
+            "rounds and therefore needs sources= (existing fleet branches)"
+        )
     shapes = tuple(shapes)
     configs = runner.configs
     n_rows, n_cols = len(shapes), len(configs)
     n_cells = budget.cells(n_rows, n_cols)
     name = device_name if device_name is not None else runner.device.name
+    swept = runner.run(shapes).gflops
     gflops = np.full((n_rows, n_cols), np.nan)
 
-    if budget.sampler != "active":
-        plan = plan_cells(budget.sampler, shapes, n_cols, n_cells, budget.seed)
-        failed = measure_cells(runner, shapes, plan, gflops)
-        return PartialSweep(
-            dataset=PerformanceDataset(
-                shapes=shapes, configs=tuple(configs), gflops=gflops,
-                device_name=name,
-            ),
-            cells=plan,
-            sampler=budget.sampler,
-            seed=budget.seed,
-            failed=failed,
-        )
+    def reveal(cells: np.ndarray) -> None:
+        gflops.ravel()[cells] = swept.ravel()[cells]
 
-    if not sources:
-        raise ValueError(
-            "the active sampler refits the imputation model between "
-            "rounds and therefore needs sources= (existing fleet branches)"
-        )
-    # Round quotas: the warm start takes the first share, later rounds
-    # split the rest; every round gets at least one cell.
-    per_round = _round_quotas(n_cells, budget.rounds, minimum_first=n_rows)
-    warm = plan_cells("active", shapes, n_cols, per_round[0], budget.seed)
-    failed = measure_cells(runner, shapes, warm, gflops)
-    taken: List[np.ndarray] = [warm]
-    spec = runner.device.spec
-    for round_index, quota in enumerate(per_round[1:], start=1):
-        partial = PerformanceDataset(
-            shapes=shapes, configs=tuple(configs), gflops=gflops.copy(),
-            device_name=name,
-        )
-        model = ImputationModel(budget).fit(
-            tuple(sources), spec, partial,
-            seed=budget.seed + round_index,
-        )
-        predicted, std = model.predict_target()
-        attempted = np.zeros(gflops.shape, dtype=bool)
-        attempted.ravel()[np.concatenate(taken)] = True
-        picks = pick_informative_cells(
-            _acquisition(predicted, std), attempted, quota
-        )
-        if picks.size == 0:
-            break
-        failed += measure_cells(runner, shapes, picks, gflops)
-        taken.append(picks)
-    cells = np.unique(np.concatenate(taken))
+    if budget.sampler != "active":
+        cells = plan_cells(budget.sampler, shapes, n_cols, n_cells, budget.seed)
+        reveal(cells)
+    else:
+        # Round quotas: the warm start takes the first share, later
+        # rounds split the rest; every round gets at least one cell.
+        per_round = _round_quotas(n_cells, budget.rounds, minimum_first=n_rows)
+        warm = plan_cells("active", shapes, n_cols, per_round[0], budget.seed)
+        reveal(warm)
+        taken: List[np.ndarray] = [warm]
+        spec = runner.device.spec
+        for round_index, quota in enumerate(per_round[1:], start=1):
+            partial = PerformanceDataset(
+                shapes=shapes, configs=tuple(configs), gflops=gflops.copy(),
+                device_name=name,
+            )
+            model = ImputationModel(budget).fit(
+                tuple(sources), spec, partial,
+                seed=budget.seed + round_index,
+            )
+            predicted, std = model.predict_target()
+            attempted = np.zeros(gflops.shape, dtype=bool)
+            attempted.ravel()[np.concatenate(taken)] = True
+            picks = pick_informative_cells(
+                _acquisition(predicted, std), attempted, quota
+            )
+            if picks.size == 0:
+                break
+            reveal(picks)
+            taken.append(picks)
+        cells = np.unique(np.concatenate(taken))
     return PartialSweep(
         dataset=PerformanceDataset(
             shapes=shapes, configs=tuple(configs), gflops=gflops,
@@ -201,7 +173,7 @@ def run_partial_sweep(
         cells=cells,
         sampler=budget.sampler,
         seed=budget.seed,
-        failed=failed,
+        failed=int(np.isnan(gflops.ravel()[cells]).sum()),
     )
 
 

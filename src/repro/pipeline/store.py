@@ -11,9 +11,8 @@ Filesystem layout (one directory per artifact, keyed by fingerprint)::
 Writes are atomic: the payload and manifest are staged in a temporary
 sibling directory and ``os.replace``-d into place, so readers never see a
 half-written artifact and concurrent writers of the same fingerprint
-converge on identical content.  This subsumes the single-file
-``bench/cache.py`` cache: a sweep artifact *is* the old cache file, plus
-identity and lineage.
+converge on identical content.  It is the one way to reuse a sweep: a
+sweep artifact is a ``bench/cache.py`` file plus identity and lineage.
 """
 
 from __future__ import annotations

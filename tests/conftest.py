@@ -49,9 +49,8 @@ def small_dataset(small_configs, all_shapes) -> PerformanceDataset:
 
 
 @pytest.fixture(scope="session")
-def full_dataset(tmp_path_factory) -> PerformanceDataset:
-    cache = tmp_path_factory.mktemp("dataset") / "full.npz"
-    return generate_dataset(cache_path=cache)
+def full_dataset() -> PerformanceDataset:
+    return generate_dataset()
 
 
 @pytest.fixture

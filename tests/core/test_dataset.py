@@ -1,13 +1,9 @@
 """PerformanceDataset."""
 
-import json
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.bench.runner import RunnerConfig
-from repro.core.dataset import PerformanceDataset, generate_dataset
+from repro.core.dataset import PerformanceDataset
 
 
 class TestViews:
@@ -81,72 +77,6 @@ class TestPersistence:
         assert loaded.shapes == small_dataset.shapes
         assert loaded.configs == small_dataset.configs
         np.testing.assert_allclose(loaded.gflops, small_dataset.gflops)
-
-
-class TestGenerateDatasetCache:
-    NETWORKS = ("mobilenet_v2",)
-    FAST = RunnerConfig(warmup_iterations=1, timed_iterations=2, seed=5)
-
-    def test_stale_cache_warned_and_regenerated(self, tmp_path):
-        cache = tmp_path / "cache.npz"
-        generate_dataset(
-            networks=self.NETWORKS, runner_config=self.FAST, cache_path=cache
-        )
-        reconfigured = RunnerConfig(
-            warmup_iterations=1, timed_iterations=2, seed=6
-        )
-        with pytest.warns(UserWarning, match="stale dataset cache"):
-            regenerated = generate_dataset(
-                networks=self.NETWORKS,
-                runner_config=reconfigured,
-                cache_path=cache,
-            )
-        # The cache now holds the new sweep: a matching reload is silent
-        # and identical.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reloaded = generate_dataset(
-                networks=self.NETWORKS,
-                runner_config=reconfigured,
-                cache_path=cache,
-            )
-        np.testing.assert_array_equal(reloaded.gflops, regenerated.gflops)
-
-    def test_previous_format_cache_regenerated(self, tmp_path):
-        # A version-1 file carries the retired per-cell noise draws: it
-        # must be replaced by a fresh sweep, never mixed with new draws.
-        cache = tmp_path / "cache.npz"
-        fresh = generate_dataset(
-            networks=self.NETWORKS, runner_config=self.FAST, cache_path=cache
-        )
-        with np.load(cache) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(str(arrays["meta"]))
-        meta["format_version"] = 1
-        arrays["meta"] = json.dumps(meta)
-        arrays["gflops"] = arrays["gflops"] * 1.01
-        np.savez(cache, **arrays)
-        with pytest.warns(UserWarning, match="stale dataset cache"):
-            regenerated = generate_dataset(
-                networks=self.NETWORKS, runner_config=self.FAST, cache_path=cache
-            )
-        np.testing.assert_array_equal(regenerated.gflops, fresh.gflops)
-        with np.load(cache) as data:
-            assert json.loads(str(data["meta"]))["format_version"] != 1
-
-    def test_matching_cache_reused_silently(self, tmp_path):
-        cache = tmp_path / "cache.npz"
-        first = generate_dataset(
-            networks=self.NETWORKS, runner_config=self.FAST, cache_path=cache
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            second = generate_dataset(
-                networks=self.NETWORKS,
-                runner_config=self.FAST,
-                cache_path=cache,
-            )
-        np.testing.assert_array_equal(first.gflops, second.gflops)
 
 
 class TestValidation:

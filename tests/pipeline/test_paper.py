@@ -10,8 +10,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.bench.runner import RunnerConfig
 from repro.core.dataset import generate_dataset
 from repro.experiments.run_all import run_all, run_all_pipeline
+from repro.perfmodel.params import PerfModelParams
 from repro.pipeline import ArtifactStore, PaperPipelineConfig
 from repro.pipeline.paper import paper_params, paper_pipeline, run_paper_pipeline
 from repro.serving import SelectionService
@@ -155,3 +157,20 @@ class TestFingerprintCoverage:
         other = dataclasses.replace(config, device_preset="desktop-gpu")
         fps2 = paper_pipeline().fingerprints(paper_params(other))
         assert fps["sweep"] != fps2["sweep"]
+
+    # The store is the one way to reuse a sweep, so every input of the
+    # measured table must move the sweep fingerprint: no stale reuse.
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"runner": RunnerConfig(seed=2021)},
+            {"model_params": PerfModelParams(noise_sigma=0.05)},
+        ],
+        ids=["runner-seed", "model-params"],
+    )
+    def test_protocol_change_invalidates_the_sweep(self, config, change):
+        fps = paper_pipeline().fingerprints(paper_params(config))
+        other = dataclasses.replace(config, **change)
+        fps2 = paper_pipeline().fingerprints(paper_params(other))
+        assert fps["sweep"] != fps2["sweep"]
+        assert fps["dataset"] != fps2["dataset"]
